@@ -1,6 +1,7 @@
 // Scalar vs. SIMD throughput of the vectorized hot loops: single-thread CSR
-// SpMM on an RMAT graph plus a dense GEMM sweep, each run through the
-// forced-scalar table and the dispatched table. Working sets are sized to
+// SpMM on an RMAT graph (fp32, and with the Tensor path's TF32 operand
+// rounding) plus a dense GEMM sweep, each run through the forced-scalar
+// table and the dispatched table. Working sets are sized to
 // stay cache-resident so the measurement reflects vector width rather than
 // DRAM bandwidth. Every point is checked for bitwise identity between the
 // two paths; `--json out.json` writes the sweep as a machine-readable
@@ -9,7 +10,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "graph/generators.h"
@@ -65,6 +68,12 @@ int main(int argc, char** argv) {
   std::vector<Point> points;
 
   // --- SpMM: RMAT adjacency, feature-dim sweep -----------------------------
+  // "spmm" is the fp32 (CUDA-path) loop, "spmm_tf32" the Tensor path's
+  // loop with both operands rounded to TF32; same inputs, same traffic.
+  using SpmmFn = decltype(simd::SimdKernels::spmm_rows);
+  const std::pair<const char*, SpmmFn simd::SimdKernels::*> spmm_ops[] = {
+      {"spmm", &simd::SimdKernels::spmm_rows},
+      {"spmm_tf32", &simd::SimdKernels::spmm_rows_tf32}};
   Pcg32 rng(7);
   Graph g = RMat(kRmatScale, kRmatEdges, 16, &rng);
   CsrMatrix abar = GcnNormalized(g.adjacency);
@@ -72,31 +81,34 @@ int main(int argc, char** argv) {
               static_cast<long long>(abar.nnz()));
   for (int32_t dim : {32, 64, 128}) {
     DenseMatrix x = GenerateDense(abar.cols(), dim, &rng);
-    DenseMatrix z_scalar(abar.rows(), dim);
-    DenseMatrix z_simd(abar.rows(), dim);
-    const int iters = dim >= 128 ? 3 : 5;
-    const double scalar_ms = BestOfMs(iters, [&] {
-      z_scalar.Fill(0.0f);
-      scalar.spmm_rows(abar.row_ptr().data(), abar.col_ind().data(),
-                       abar.val().data(), x.RowData(0),
-                       z_scalar.MutableRowData(0), 0, abar.rows(), dim);
-    });
-    const double simd_ms = BestOfMs(iters, [&] {
-      z_simd.Fill(0.0f);
-      vec.spmm_rows(abar.row_ptr().data(), abar.col_ind().data(),
-                    abar.val().data(), x.RowData(0), z_simd.MutableRowData(0), 0,
-                    abar.rows(), dim);
-    });
-    const double flops = 2.0 * static_cast<double>(abar.nnz()) * dim;
-    // Analytic traffic: per nonzero one index + one value + one gathered
-    // feature row, plus the row pointers and the output writes.
-    const double bytes = static_cast<double>(abar.nnz()) * (4.0 + 4.0 + dim * 4.0) +
-                         (abar.rows() + 1) * 8.0 +
-                         static_cast<double>(abar.rows()) * dim * 4.0;
-    const double diff = z_scalar.MaxAbsDifference(z_simd);
-    points.push_back({"spmm", dim, scalar_ms, simd_ms, diff, diff == 0.0,
-                      flops / (simd_ms * 1e6), bytes,
-                      bytes / static_cast<double>(abar.nnz())});
+    for (const auto& [op, fn] : spmm_ops) {
+      DenseMatrix z_scalar(abar.rows(), dim);
+      DenseMatrix z_simd(abar.rows(), dim);
+      const int iters = dim >= 128 ? 3 : 5;
+      const double scalar_ms = BestOfMs(iters, [&] {
+        z_scalar.Fill(0.0f);
+        (scalar.*fn)(abar.row_ptr().data(), abar.col_ind().data(), abar.val().data(),
+                     x.RowData(0), z_scalar.MutableRowData(0), 0, abar.rows(), dim);
+      });
+      const double simd_ms = BestOfMs(iters, [&] {
+        z_simd.Fill(0.0f);
+        (vec.*fn)(abar.row_ptr().data(), abar.col_ind().data(), abar.val().data(),
+                  x.RowData(0), z_simd.MutableRowData(0), 0, abar.rows(), dim);
+      });
+      const double flops = 2.0 * static_cast<double>(abar.nnz()) * dim;
+      // Analytic traffic: per nonzero one index + one value + one gathered
+      // feature row, plus the row pointers and the output writes.
+      const double bytes =
+          static_cast<double>(abar.nnz()) * (4.0 + 4.0 + dim * 4.0) +
+          (abar.rows() + 1) * 8.0 + static_cast<double>(abar.rows()) * dim * 4.0;
+      const double diff = z_scalar.MaxAbsDifference(z_simd);
+      const bool identical =
+          std::memcmp(z_scalar.RowData(0), z_simd.RowData(0),
+                      z_simd.data().size() * sizeof(float)) == 0;
+      points.push_back({op, dim, scalar_ms, simd_ms, diff, identical,
+                        flops / (simd_ms * 1e6), bytes,
+                        bytes / static_cast<double>(abar.nnz())});
+    }
   }
 
   // --- Dense GEMM sweep ----------------------------------------------------

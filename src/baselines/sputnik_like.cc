@@ -14,10 +14,7 @@ constexpr int64_t kChunkNnz = 512;
 Status SputnikLikeSpmm::Run(const CsrMatrix& a, const DenseMatrix& x,
                             const DeviceSpec& dev, const KernelOptions& opts,
                             DenseMatrix* z, KernelProfile* profile) const {
-  if (a.cols() != x.rows()) {
-    return Status::InvalidArgument("SpMM shape mismatch: A.cols != X.rows");
-  }
-  *z = DenseMatrix(a.rows(), x.cols());
+  HCSPMM_RETURN_NOT_OK(internal::PrepareOutput(a, x, z));
   // Sputnik supports full and half precision on CUDA cores; half rounds
   // operands (Appendix B).
   const DataType functional =

@@ -8,10 +8,7 @@ namespace hcspmm {
 Status TcGnnLikeSpmm::Run(const CsrMatrix& a, const DenseMatrix& x,
                           const DeviceSpec& dev, const KernelOptions& opts,
                           DenseMatrix* z, KernelProfile* profile) const {
-  if (a.cols() != x.rows()) {
-    return Status::InvalidArgument("SpMM shape mismatch: A.cols != X.rows");
-  }
-  *z = DenseMatrix(a.rows(), x.cols());
+  HCSPMM_RETURN_NOT_OK(internal::PrepareOutput(a, x, z));
   internal::SpmmRowsRounded(a, x, 0, a.rows(), opts.dtype, z);
 
   if (profile != nullptr) {

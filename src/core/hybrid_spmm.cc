@@ -21,9 +21,6 @@ Status HcSpmm::RunWithPlan(const HybridPlan& plan, const CsrMatrix& a,
                            const DenseMatrix& x, const DeviceSpec& dev,
                            const KernelOptions& opts, DenseMatrix* z,
                            KernelProfile* profile) const {
-  if (a.cols() != x.rows()) {
-    return Status::InvalidArgument("SpMM shape mismatch: A.cols != X.rows");
-  }
   // Structural validation instead of pointer identity: a PlanCache hit hands
   // out a plan built from a content-identical matrix object that may since
   // have been destroyed (cached plans carry windows.csr == nullptr). The
@@ -73,19 +70,21 @@ Status HcSpmm::RunWithPlan(const HybridPlan& plan, const CsrMatrix& a,
        packed->nnz() != a.nnz())) {
     return Status::InvalidArgument("plan was built for a different matrix");
   }
-  *z = DenseMatrix(a.rows(), x.cols());
+  // Validation above never touches z; from here on it is written in place.
+  HCSPMM_RETURN_NOT_OK(internal::PrepareOutput(a, x, z));
 
   // Functional execution: the Tensor path rounds operands to the storage
   // type (TF32 by default); the CUDA path computes in full FP32. Windows
   // cover disjoint row ranges (SS IV-A: no merge step), so they dispatch
-  // across the pool with no synchronization on z. The packed index stream
-  // is consulted only by the fp32 SIMD paths (decode order == CSR order,
-  // so results stay bit-identical to plain indices).
+  // across the pool with no synchronization on z, and each window writes
+  // (zeroes, then accumulates) its own rows. The packed index stream is
+  // consulted only by the fp32 SIMD paths (decode order == CSR order, so
+  // results stay bit-identical to plain indices).
   // Cooperative cancellation: the token is polled at window-batch
   // granularity (every kCancelCheckStride windows per chunk), never inside
-  // the SIMD kernels. On expiry workers stop dispatching further windows; z
-  // is partially written and the typed error below tells the caller to
-  // discard it.
+  // the SIMD kernels. On expiry workers stop dispatching further windows,
+  // and z, now only partly written, is emptied before the typed error
+  // returns.
   constexpr int64_t kCancelCheckStride = 64;
   std::atomic<bool> cancelled{false};
   ParallelFor(0, static_cast<int64_t>(ws.size()), opts.num_threads,
@@ -99,7 +98,11 @@ Status HcSpmm::RunWithPlan(const HybridPlan& plan, const CsrMatrix& a,
                     return;
                   }
                   const RowWindow& w = ws[i];
-                  if (w.nnz == 0) continue;
+                  if (w.nnz == 0) {  // no kernel runs: clear the rows here
+                    std::fill(z->MutableRowData(w.first_row),
+                              z->MutableRowData(w.first_row + w.num_rows), 0.0f);
+                    continue;
+                  }
                   const bool on_tensor = plan.assignment[i] == CoreType::kTensorCore;
                   internal::SpmmRowsRounded(a, x, w.first_row, w.first_row + w.num_rows,
                                             on_tensor ? opts.dtype : DataType::kFp32, z,
@@ -107,6 +110,7 @@ Status HcSpmm::RunWithPlan(const HybridPlan& plan, const CsrMatrix& a,
                 }
               });
   if (cancelled.load(std::memory_order_relaxed)) {
+    *z = DenseMatrix();
     return opts.cancel->ToStatus();
   }
 

@@ -40,6 +40,10 @@ class HcSpmm : public SpmmKernel {
   /// degree — so it rejects accidental cross-matrix reuse cheaply but cannot
   /// detect a matrix that differs only in column indices or values; such
   /// misuse computes with a stale window classification.
+  ///
+  /// `z` is handled as in Run (internal::PrepareOutput). A validation
+  /// failure leaves it untouched; a cancellation (KernelOptions::cancel)
+  /// leaves it empty.
   Status RunWithPlan(const HybridPlan& plan, const CsrMatrix& a, const DenseMatrix& x,
                      const DeviceSpec& dev, const KernelOptions& opts, DenseMatrix* z,
                      KernelProfile* profile) const;

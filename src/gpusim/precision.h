@@ -8,20 +8,9 @@
 #include <cstring>
 
 #include "gpusim/device.h"
+#include "util/half.h"  // RoundTf32, shared with the SIMD tables
 
 namespace hcspmm {
-
-/// TF32: FP32 with the mantissa truncated to 10 bits (19-bit format).
-inline float RoundTf32(float x) {
-  uint32_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  // Round-to-nearest on bit 13, then clear the low 13 mantissa bits.
-  bits += 1u << 12;
-  bits &= ~((1u << 13) - 1);
-  float out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
 
 /// BF16: FP32 truncated to the top 16 bits with round-to-nearest-even.
 inline float RoundBf16(float x) {

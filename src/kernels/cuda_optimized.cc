@@ -31,10 +31,7 @@ Status CudaOptimizedSpmm::RunWithWindows(const WindowedCsr& windows,
                                          const DeviceSpec& dev,
                                          const KernelOptions& opts, DenseMatrix* z,
                                          KernelProfile* profile) const {
-  if (a.cols() != x.rows()) {
-    return Status::InvalidArgument("SpMM shape mismatch: A.cols != X.rows");
-  }
-  *z = DenseMatrix(a.rows(), x.cols());
+  HCSPMM_RETURN_NOT_OK(internal::PrepareOutput(a, x, z));
   internal::SpmmRowsRounded(a, x, 0, a.rows(), DataType::kFp32, z, opts.num_threads);
 
   if (profile != nullptr) {

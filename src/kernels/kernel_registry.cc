@@ -1,5 +1,7 @@
 #include "kernels/spmm_kernel.h"
 
+#include <algorithm>
+
 #include "baselines/baselines.h"
 #include "exec/thread_pool.h"
 #include "core/fine_grained_hybrid.h"
@@ -22,6 +24,16 @@ void SpmmRowsSerial(const CsrMatrix& a, const DenseMatrix& x, int32_t row_begin,
                     int32_t row_end, DataType dtype, DenseMatrix* z,
                     const PackedCsr* packed) {
   const int32_t dim = x.cols();
+  std::fill(z->MutableRowData(row_begin), z->MutableRowData(row_end), 0.0f);
+  if (dtype == DataType::kTf32 && !x.reduced_storage()) {
+    // The reference loop below, vectorized: the TF32 rounding is exact
+    // integer work per lane, so the result is bit-identical to that loop at
+    // every SimdLevel. Like it, this path reads plain col_ind, never packed.
+    simd::Active().spmm_rows_tf32(a.row_ptr().data(), a.col_ind().data(),
+                                  a.val().data(), x.RowData(0), z->MutableRowData(0),
+                                  row_begin, row_end, dim);
+    return;
+  }
   if (dtype == DataType::kFp32) {
     // Vectorized along the independent output-column axis with separate
     // mul + add, so each output element keeps the scalar accumulation order
@@ -51,10 +63,11 @@ void SpmmRowsSerial(const CsrMatrix& a, const DenseMatrix& x, int32_t row_begin,
     }
     return;
   }
-  // Rounded (simulated tensor-path) windows: scalar reference loop. Packed
-  // indices are not consulted here — col_ind is resident either way, and
-  // rounding already dominates; ValueAt widens reduced X exactly before the
-  // dtype rounding, matching what the hardware would see after upconvert.
+  // fp16/bf16 rounding, or reduced X with a rounding dtype: scalar
+  // reference loop. Packed indices are not consulted here — col_ind is
+  // resident either way, and rounding already dominates; ValueAt widens
+  // reduced X exactly before the dtype rounding, matching what the hardware
+  // would see after upconvert.
   for (int32_t r = row_begin; r < row_end; ++r) {
     float* zr = z->MutableRowData(r);
     for (int64_t k = a.RowBegin(r); k < a.RowEnd(r); ++k) {
@@ -73,6 +86,19 @@ void SpmmRowsSerial(const CsrMatrix& a, const DenseMatrix& x, int32_t row_begin,
 }
 
 }  // namespace
+
+Status PrepareOutput(const CsrMatrix& a, const DenseMatrix& x, DenseMatrix* z) {
+  if (a.cols() != x.rows()) {
+    return Status::InvalidArgument("SpMM shape mismatch: A.cols != X.rows");
+  }
+  if (z == &x) {
+    return Status::InvalidArgument("SpMM output must not alias the input X");
+  }
+  if (z->rows() != a.rows() || z->cols() != x.cols() || z->reduced_storage()) {
+    *z = DenseMatrix::Uninitialized(a.rows(), x.cols());
+  }
+  return Status::OK();
+}
 
 void SpmmRowsRounded(const CsrMatrix& a, const DenseMatrix& x, int32_t row_begin,
                      int32_t row_end, DataType dtype, DenseMatrix* z,

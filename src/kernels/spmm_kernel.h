@@ -31,8 +31,8 @@ struct KernelOptions {
   int num_threads = 0;
   /// Optional cooperative cancellation, polled at window-batch granularity
   /// in the dispatch loop (never inside the SIMD kernels). On expiry the run
-  /// returns kDeadlineExceeded; the output buffer may be partially written
-  /// and must be discarded by the caller.
+  /// returns kDeadlineExceeded and leaves the output empty (0 x 0), never
+  /// partially written.
   const CancelToken* cancel = nullptr;
 };
 
@@ -45,9 +45,11 @@ class SpmmKernel {
   /// Stable kernel identifier (used by the registry and bench output).
   virtual std::string name() const = 0;
 
-  /// Compute z = a * x. `z` is resized/overwritten. `profile` receives the
-  /// simulated cost; pass nullptr to skip metering details (time still not
-  /// returned then — callers normally want the profile).
+  /// Compute z = a * x. `z` is overwritten in place when it is already an
+  /// a.rows() x x.cols() fp32 matrix and replaced otherwise; it must not be
+  /// `&x` (see internal::PrepareOutput). `profile` receives the simulated
+  /// cost; pass nullptr to skip metering details (time still not returned
+  /// then — callers normally want the profile).
   virtual Status Run(const CsrMatrix& a, const DenseMatrix& x, const DeviceSpec& dev,
                      const KernelOptions& opts, DenseMatrix* z,
                      KernelProfile* profile) const = 0;
@@ -57,11 +59,27 @@ class PackedCsr;
 
 namespace internal {
 
+/// Validates the operands of z = a * x and readies `z` as the a.rows() x
+/// x.cols() fp32 output. A `z` already of that shape and precision keeps its
+/// buffer, whose contents the kernel then overwrites; any other `z` is
+/// replaced by DenseMatrix::Uninitialized, so no serial zero fill runs either
+/// way and the kernel must write every row of `z`. Returns InvalidArgument,
+/// leaving `z` untouched, when A.cols != X.rows or when `z` is `&x` (the
+/// kernel would overwrite X while still reading it).
+Status PrepareOutput(const CsrMatrix& a, const DenseMatrix& x, DenseMatrix* z);
+
 /// Functional CSR SpMM over a row range with operand rounding emulating the
 /// requested data type (accumulation stays FP32, as on real WMMA hardware).
-/// `num_threads` partitions the rows across the global ThreadPool (<= 0 =>
-/// hardware concurrency); each row is produced by exactly one thread with an
-/// unchanged accumulation order, so results match the serial loop bit-for-bit.
+/// Writes rows [row_begin, row_end) of `z`, which must already have the
+/// output shape (PrepareOutput): each row is zeroed and accumulated by the
+/// task that produces it, so prior contents are irrelevant and the first
+/// touch of a fresh buffer is spread across the pool. `num_threads`
+/// partitions the rows across the global ThreadPool (<= 0 => hardware
+/// concurrency); each row is produced by exactly one thread with an
+/// unchanged accumulation order, so results match the serial loop
+/// bit-for-bit. TF32 with fp32 X runs on the SIMD table
+/// (simd::SimdKernels::spmm_rows_tf32); fp16/bf16 rounding and reduced X
+/// with a rounding dtype run the scalar reference loop.
 ///
 /// When `packed` is non-null (a PackedCsr built from `a`), the fp32 path
 /// decodes column indices from the packed stream instead of a.col_ind() —

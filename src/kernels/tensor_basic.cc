@@ -7,10 +7,7 @@ namespace hcspmm {
 Status TensorBasicSpmm::Run(const CsrMatrix& a, const DenseMatrix& x,
                             const DeviceSpec& dev, const KernelOptions& opts,
                             DenseMatrix* z, KernelProfile* profile) const {
-  if (a.cols() != x.rows()) {
-    return Status::InvalidArgument("SpMM shape mismatch: A.cols != X.rows");
-  }
-  *z = DenseMatrix(a.rows(), x.cols());
+  HCSPMM_RETURN_NOT_OK(internal::PrepareOutput(a, x, z));
   // Tensor cores round both operands to the storage type; accumulation is
   // FP32. Zero-padded lanes contribute zero, so the functional result is
   // the rounded-operand CSR product.

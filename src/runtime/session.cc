@@ -260,13 +260,23 @@ Status Session::MultiplyOnWithThreads(const PlanVersion& v, const DenseMatrix& x
                                       DenseMatrix* z, KernelProfile* profile,
                                       int num_threads,
                                       const CancelToken* cancel) const {
+  // The kernels write z in place, so a z that is the input itself gets the
+  // product through a temporary, moved over only on success: x survives any
+  // failure.
+  if (z == &x) {
+    DenseMatrix product;
+    HCSPMM_RETURN_NOT_OK(
+        MultiplyOnWithThreads(v, x, &product, profile, num_threads, cancel));
+    *z = std::move(product);
+    return Status::OK();
+  }
   // Expired-before-start short-circuit (the kernel dispatch loop also polls
   // the token mid-run).
   if (cancel != nullptr && cancel->Expired()) return cancel->ToStatus();
   // Simulated-device dispatch hook: an attached injector may fail this
   // attempt (kUnavailable) or sleep a straggler delay *before* any output is
-  // written, so a failed attempt has no observable side effects and a retry
-  // recomputes bit-identically.
+  // written, so a failed attempt leaves z as it was and a retry recomputes
+  // bit-identically.
   const std::shared_ptr<FaultInjector>& injector = options_.fault_injector();
   if (injector != nullptr) {
     HCSPMM_RETURN_NOT_OK(injector->OnDispatch(options_.fault_scope()));

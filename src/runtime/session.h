@@ -173,15 +173,20 @@ class Session : public std::enable_shared_from_this<Session> {
   Future<bool> ready_future() const { return init_; }
 
   /// z = Abar * x, synchronously on the calling thread with full row-level
-  /// parallelism. Appends to `profile` if non-null.
+  /// parallelism. Appends to `profile` if non-null. A `z` that already is a
+  /// rows x x.cols() fp32 matrix is overwritten in place, with no
+  /// allocation; any other `z` is replaced. `z` may be `&x`: the product is
+  /// then computed into a temporary that replaces `x` only on success.
   ///
   /// Every multiply entry point takes optional ExecControls: a cancel token
   /// (polled at window-batch granularity; expiry resolves
   /// kDeadlineExceeded), and a RetryPolicy transparently re-running the
   /// whole attempt on IsRetryable failures. A failed attempt never touches
-  /// `profile` or the caller-visible output, and a successful retry
-  /// recomputes from scratch, so fp32 results stay bit-identical to the
-  /// fault-free run.
+  /// `profile` and never leaves a partial product in `z`: a failure before
+  /// the kernel writes (init or shape errors, an injected dispatch fault, a
+  /// token already expired) leaves `z` as it was, and a deadline expiring
+  /// mid-run leaves it empty (0 x 0). A successful retry recomputes from
+  /// scratch, so fp32 results stay bit-identical to the fault-free run.
   Status Multiply(const DenseMatrix& x, DenseMatrix* z, KernelProfile* profile,
                   const ExecControls& ctl = {}) const;
 

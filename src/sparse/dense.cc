@@ -6,6 +6,14 @@
 
 namespace hcspmm {
 
+DenseMatrix DenseMatrix::Uninitialized(int32_t rows, int32_t cols) {
+  DenseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.data_.resize(static_cast<size_t>(rows) * cols);  // default-initialised
+  return m;
+}
+
 double DenseMatrix::FrobeniusDistance(const DenseMatrix& other) const {
   HCSPMM_CHECK(rows_ == other.rows_ && cols_ == other.cols_) << "shape mismatch";
   double acc = 0.0;

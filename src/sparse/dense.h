@@ -55,6 +55,11 @@ class DenseMatrix {
   DenseMatrix(int32_t rows, int32_t cols, float fill = 0.0f)
       : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows) * cols, fill) {}
 
+  /// rows x cols fp32 matrix whose elements are indeterminate: no serial
+  /// zero fill, so the pages are first touched by whoever writes them. The
+  /// caller must write every element before reading it.
+  static DenseMatrix Uninitialized(int32_t rows, int32_t cols);
+
   int32_t rows() const { return rows_; }
   int32_t cols() const { return cols_; }
 

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <new>
+#include <utility>
 
 namespace hcspmm {
 
@@ -33,6 +34,20 @@ struct AlignedAllocator {
   }
   void deallocate(T* p, std::size_t n) noexcept {
     ::operator delete(p, n * sizeof(T), std::align_val_t(Alignment));
+  }
+
+  /// Default-initialises instead of value-initialising, so `resize(n)` on a
+  /// vector of floats leaves the new elements indeterminate rather than
+  /// zero-filling them serially: large outputs are then first touched by
+  /// the parallel kernels that write them. Every such resize must be
+  /// followed by a write of each new element.
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 
   friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) noexcept {

@@ -4,7 +4,9 @@
 // are the *only* place precision is lost. Both directions are deterministic
 // (round-to-nearest-even on narrowing, exact on widening), so reduced-
 // precision results are identical at every SIMD level / thread count — just
-// not identical to fp32.
+// not identical to fp32. The TF32 operand rounding of the Tensor path lives
+// here too: it is pure integer bit manipulation, which the SIMD tables
+// repeat lane by lane with the same constants.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,23 @@ inline uint16_t F32ToF16Bits(float x) {
   uint16_t bits;
   std::memcpy(&bits, &h, sizeof(bits));
   return bits;
+}
+
+/// TF32 rounding as integer ops on the fp32 encoding: add kTf32RoundBias
+/// (round-to-nearest on bit 13, ties away from zero), then keep the bits in
+/// kTf32KeepMask (the low 13 mantissa bits cleared). Carries may ripple into
+/// the exponent, so FLT_MAX rounds to Inf.
+constexpr uint32_t kTf32RoundBias = 1u << 12;
+constexpr uint32_t kTf32KeepMask = ~((1u << 13) - 1);
+
+/// TF32: FP32 with the mantissa rounded to 10 bits (19-bit format).
+inline float RoundTf32(float x) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  bits = (bits + kTf32RoundBias) & kTf32KeepMask;
+  float out;
+  std::memcpy(&out, &bits, sizeof(out));
+  return out;
 }
 
 /// IEEE binary16 bit pattern -> fp32 (exact: every fp16 value is

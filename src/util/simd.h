@@ -35,6 +35,14 @@ struct SimdKernels {
                     const float* x, float* z, int32_t row_begin, int32_t row_end,
                     int32_t dim);
 
+  /// spmm_rows with TF32 operands, the Tensor-path functional model:
+  ///   z[r, :] += RoundTf32(val[k]) * RoundTf32(x[col_ind[k], :]).
+  /// The rounding is an integer add + mask per lane (util/half.h), so the
+  /// result is bit-identical at every level to the scalar reference loop.
+  void (*spmm_rows_tf32)(const int64_t* row_ptr, const int32_t* col_ind,
+                         const float* val, const float* x, float* z,
+                         int32_t row_begin, int32_t row_end, int32_t dim);
+
   /// spmm_rows over a packed (delta-encoded) column-index stream
   /// (util/packed_index.h format; row r's bytes start at stream +
   /// pack_ptr[r]). Columns are decoded inline per nonzero in CSR order, so

@@ -41,6 +41,13 @@ struct Avx2Traits {
   static VF Gt0AndF(VF gate, VF x) {
     return _mm256_and_ps(_mm256_cmp_ps(gate, _mm256_setzero_ps(), _CMP_GT_OQ), x);
   }
+  // RoundTf32 per lane: the integer add + mask of util/half.h.
+  static VF RoundTf32F(VF v) {
+    const __m256i bias = _mm256_set1_epi32(static_cast<int>(kTf32RoundBias));
+    const __m256i keep = _mm256_set1_epi32(static_cast<int>(kTf32KeepMask));
+    return _mm256_castsi256_ps(
+        _mm256_and_si256(_mm256_add_epi32(_mm256_castps_si256(v), bias), keep));
+  }
   static VD AddD(VD a, VD b) {
     return {_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};
   }

@@ -12,6 +12,9 @@
 //   VF  AddF(VF, VF);  VF SubF(VF, VF);  VF MulF(VF, VF);
 //   VF  ReluF(VF);                           // x < 0 ? 0 : x  (NaN, -0 pass)
 //   VF  Gt0AndF(VF gate, VF x);              // gate > 0 ? x : 0
+//   VF  RoundTf32F(VF);                      // RoundTf32 per lane (integer
+//                                            // add kTf32RoundBias, and
+//                                            // kTf32KeepMask)
 //   VD  AddD(VD, VD);  VD MulD(VD, VD);  VD DivD(VD, VD);  VD SqrtD(VD);
 //   VD  WidenFToD(VF);                       // exact
 //   VF  NarrowDToF(VD);                      // round-to-nearest-even
@@ -53,6 +56,32 @@ void SpmmRowsT(const int64_t* row_ptr, const int32_t* col_ind, const float* val,
     float* zr = z + static_cast<int64_t>(r) * dim;
     for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
       AxpyRowT<T>(val[k], x + static_cast<int64_t>(col_ind[k]) * dim, zr, dim);
+    }
+  }
+}
+
+// dst[0, n) += s * RoundTf32(src[0, n)) — AxpyRowT with the X operand
+// rounded to TF32 on load; `s` arrives already rounded.
+template <typename T>
+inline void AxpyRowTf32T(float s, const float* src, float* dst, int32_t n) {
+  typename T::VF vs = T::BroadcastF(s);
+  int32_t j = 0;
+  for (; j + T::kWidth <= n; j += T::kWidth) {
+    T::StoreF(dst + j, T::AddF(T::LoadF(dst + j),
+                               T::MulF(vs, T::RoundTf32F(T::LoadF(src + j)))));
+  }
+  for (; j < n; ++j) dst[j] += s * RoundTf32(src[j]);
+}
+
+template <typename T>
+void SpmmRowsTf32T(const int64_t* row_ptr, const int32_t* col_ind, const float* val,
+                   const float* x, float* z, int32_t row_begin, int32_t row_end,
+                   int32_t dim) {
+  for (int32_t r = row_begin; r < row_end; ++r) {
+    float* zr = z + static_cast<int64_t>(r) * dim;
+    for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      AxpyRowTf32T<T>(RoundTf32(val[k]), x + static_cast<int64_t>(col_ind[k]) * dim,
+                      zr, dim);
     }
   }
 }
@@ -337,6 +366,7 @@ SimdKernels MakeKernels(SimdLevel level) {
   SimdKernels k;
   k.level = level;
   k.spmm_rows = &SpmmRowsT<T>;
+  k.spmm_rows_tf32 = &SpmmRowsTf32T<T>;
   k.spmm_rows_packed = &SpmmRowsPackedT<T>;
   k.spmm_rows_half = &SpmmRowsHalfT<T>;
   k.spmm_rows_packed_half = &SpmmRowsPackedHalfT<T>;

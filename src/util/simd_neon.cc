@@ -43,6 +43,12 @@ struct NeonTraits {
     const uint32x4_t gt0 = vcgtq_f32(gate, vdupq_n_f32(0.0f));
     return vreinterpretq_f32_u32(vandq_u32(gt0, vreinterpretq_u32_f32(x)));
   }
+  // RoundTf32 per lane: the integer add + mask of util/half.h.
+  static VF RoundTf32F(VF v) {
+    const uint32x4_t bits =
+        vaddq_u32(vreinterpretq_u32_f32(v), vdupq_n_u32(kTf32RoundBias));
+    return vreinterpretq_f32_u32(vandq_u32(bits, vdupq_n_u32(kTf32KeepMask)));
+  }
   static VD AddD(VD a, VD b) { return {vaddq_f64(a.lo, b.lo), vaddq_f64(a.hi, b.hi)}; }
   static VD MulD(VD a, VD b) { return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)}; }
   static VD DivD(VD a, VD b) { return {vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi)}; }

@@ -28,6 +28,7 @@ struct ScalarTraits {
   static VF MulF(VF a, VF b) { return a * b; }
   static VF ReluF(VF v) { return v < 0.0f ? 0.0f : v; }
   static VF Gt0AndF(VF gate, VF x) { return gate > 0.0f ? x : 0.0f; }
+  static VF RoundTf32F(VF v) { return RoundTf32(v); }
   static VD AddD(VD a, VD b) { return a + b; }
   static VD MulD(VD a, VD b) { return a * b; }
   static VD DivD(VD a, VD b) { return a / b; }

@@ -39,6 +39,13 @@ struct Sse2Traits {
   static VF Gt0AndF(VF gate, VF x) {
     return _mm_and_ps(_mm_cmpgt_ps(gate, _mm_setzero_ps()), x);
   }
+  // RoundTf32 per lane: the integer add + mask of util/half.h.
+  static VF RoundTf32F(VF v) {
+    const __m128i bias = _mm_set1_epi32(static_cast<int>(kTf32RoundBias));
+    const __m128i keep = _mm_set1_epi32(static_cast<int>(kTf32KeepMask));
+    return _mm_castsi128_ps(
+        _mm_and_si128(_mm_add_epi32(_mm_castps_si128(v), bias), keep));
+  }
   static VD AddD(VD a, VD b) {
     return {_mm_add_pd(a.lo, b.lo), _mm_add_pd(a.hi, b.hi)};
   }

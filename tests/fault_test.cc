@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -225,6 +226,26 @@ TEST(SessionFaultTest, PreCancelledTokenFailsBeforeDispatch) {
   EXPECT_TRUE(st.IsDeadlineExceeded()) << st.ToString();
   EXPECT_FALSE(st.IsRetryable());  // retrying cannot un-expire a deadline
   EXPECT_EQ(injector->dispatches(), 0);  // checked before the fault hook
+}
+
+TEST(SessionFaultTest, CancelledRunLeavesOutputEmpty) {
+  // The kernel writes z in place, so a run cancelled in its dispatch loop
+  // must not hand back the partly written buffer: it empties z instead.
+  const CsrMatrix abar = FaultMatrix(19);
+  const DenseMatrix x = Payload(abar.cols(), 8, 20);
+  const HcSpmm kernel;
+  auto plan = Preprocess(abar, Rtx3090(), kernel.SelectorFor(Rtx3090()));
+  ASSERT_TRUE(plan.ok());
+  CancelToken token;
+  token.RequestCancel();
+  KernelOptions opts;
+  opts.cancel = &token;
+  DenseMatrix z(abar.rows(), x.cols(), std::numeric_limits<float>::quiet_NaN());
+  Status st = kernel.RunWithPlan(plan.ValueOrDie(), abar, x, Rtx3090(), opts, &z,
+                                 nullptr);
+  EXPECT_TRUE(st.IsDeadlineExceeded()) << st.ToString();
+  EXPECT_EQ(z.rows(), 0);
+  EXPECT_EQ(z.cols(), 0);
 }
 
 TEST(SessionFaultTest, PastDeadlineFailsTyped) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "kernels/cuda_basic.h"
@@ -24,6 +26,24 @@ struct KernelCase {
 };
 
 class KernelCorrectnessTest : public ::testing::TestWithParam<KernelCase> {};
+
+bool SameBits(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() && !a.reduced_storage() &&
+         !b.reduced_storage() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(float)) == 0;
+}
+
+// Outputs a caller may hand a kernel besides an empty one: NaN-filled at the
+// right shape (kept and overwritten in place), the wrong shape, and
+// reduced-precision storage (both replaced).
+std::vector<DenseMatrix> UsedOutputs(int32_t rows, int32_t dim) {
+  std::vector<DenseMatrix> out;
+  out.emplace_back(rows, dim, std::numeric_limits<float>::quiet_NaN());
+  out.emplace_back(rows + 3, dim + 1, 7.0f);
+  out.push_back(DenseMatrix(rows, dim, 5.0f).ToPrecision(FeaturePrecision::kFp16));
+  return out;
+}
 
 TEST_P(KernelCorrectnessTest, MatchesReferenceAtFp32) {
   const KernelCase& tc = GetParam();
@@ -118,15 +138,22 @@ TEST(KernelTest, EmptyMatrixProducesZeros) {
   DenseMatrix x = GenerateDense(32, 16, &rng);
   for (const std::string& name : KernelNames()) {
     auto kernel = MakeKernel(name);
-    DenseMatrix z;
-    KernelProfile prof;
-    ASSERT_TRUE(kernel->Run(a, x, Rtx3090(), KernelOptions{}, &z, &prof).ok()) << name;
-    for (float v : z.data()) EXPECT_EQ(v, 0.0f);
+    std::vector<DenseMatrix> outputs = UsedOutputs(a.rows(), x.cols());
+    outputs.emplace_back();
+    for (DenseMatrix& z : outputs) {
+      KernelProfile prof;
+      ASSERT_TRUE(kernel->Run(a, x, Rtx3090(), KernelOptions{}, &z, &prof).ok())
+          << name;
+      ASSERT_EQ(z.rows(), a.rows()) << name;
+      ASSERT_EQ(z.cols(), x.cols()) << name;
+      for (float v : z.data()) EXPECT_EQ(v, 0.0f) << name;
+    }
   }
 }
 
 TEST(KernelTest, MatrixWithEmptyRowsAndDenseRows) {
-  // Rows 0..15 empty, row 16 fully dense, rest sparse.
+  // Rows 0..15 empty (a window with nnz == 0), row 16 fully dense, rest
+  // sparse.
   CooMatrix coo(48, 48);
   for (int c = 0; c < 48; ++c) coo.Add(16, c, 1.0f);
   coo.Add(40, 3, 2.0f);
@@ -134,14 +161,39 @@ TEST(KernelTest, MatrixWithEmptyRowsAndDenseRows) {
   Pcg32 rng(3);
   DenseMatrix x = GenerateDense(48, 24, &rng);
   DenseMatrix expected = ReferenceSpmm(a, x);
-  KernelOptions opts;
-  opts.dtype = DataType::kFp32;
+  for (DataType dtype : {DataType::kFp32, DataType::kTf32}) {
+    KernelOptions opts;
+    opts.dtype = dtype;
+    for (const std::string& name : KernelNames()) {
+      auto kernel = MakeKernel(name);
+      DenseMatrix fresh;
+      KernelProfile prof;
+      ASSERT_TRUE(kernel->Run(a, x, Rtx3090(), opts, &fresh, &prof).ok());
+      if (dtype == DataType::kFp32) {
+        EXPECT_LT(fresh.MaxAbsDifference(expected), 1e-4) << name;
+      }
+      // Any output the caller passes in, and the same one again, ends up
+      // bitwise equal to the fresh result.
+      for (DenseMatrix& z : UsedOutputs(a.rows(), x.cols())) {
+        for (int repeat = 0; repeat < 2; ++repeat) {
+          ASSERT_TRUE(kernel->Run(a, x, Rtx3090(), opts, &z, nullptr).ok());
+          EXPECT_TRUE(SameBits(fresh, z)) << name << " repeat " << repeat;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTest, OutputAliasingInputRejected) {
+  Pcg32 rng(6);
+  CsrMatrix a = GenerateUniformSparse(40, 40, 0.1, &rng);
+  const DenseMatrix x0 = GenerateDense(40, 40, &rng);
   for (const std::string& name : KernelNames()) {
     auto kernel = MakeKernel(name);
-    DenseMatrix z;
-    KernelProfile prof;
-    ASSERT_TRUE(kernel->Run(a, x, Rtx3090(), opts, &z, &prof).ok());
-    EXPECT_LT(z.MaxAbsDifference(expected), 1e-4) << name;
+    DenseMatrix x = x0;
+    Status st = kernel->Run(a, x, Rtx3090(), KernelOptions{}, &x, nullptr);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_TRUE(SameBits(x0, x)) << name << " modified its input";
   }
 }
 

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -264,6 +266,44 @@ TEST(SessionDeterminismTest, AsyncProfileMatchesSyncProfile) {
   EXPECT_EQ(async_prof.launches, sync_prof.launches);
   EXPECT_EQ(async_prof.blocks, sync_prof.blocks);
   EXPECT_EQ(fut.Get().MaxAbsDifference(z_sync), 0.0);
+}
+
+TEST(SessionOutputTest, InPlaceAndReusedOutputsMatchFreshOutput) {
+  Pcg32 rng(21);
+  Graph g = MoleculeUnion(4096, 40000, 20, 16, &rng);
+  const CsrMatrix abar = GcnNormalized(g.adjacency);
+  auto session = Runtime::Default()->OpenSession(&abar, SessionOptions());
+  const DenseMatrix x0 = GenerateDense(abar.cols(), 16, &rng);
+  const DenseMatrix x1 = GenerateDense(abar.cols(), 16, &rng);
+  auto same_bits = [](const DenseMatrix& a, const DenseMatrix& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.data().size() * sizeof(float)) == 0;
+  };
+  DenseMatrix fresh0, fresh1;
+  ASSERT_TRUE(session->Multiply(x0, &fresh0, nullptr).ok());
+  ASSERT_TRUE(session->Multiply(x1, &fresh1, nullptr).ok());
+
+  // z == &x: the product replaces the input, as if computed out of place,
+  // and a failed attempt leaves the input as it was.
+  DenseMatrix y = x0;
+  ExecControls cancelled;
+  cancelled.cancel = std::make_shared<CancelToken>();
+  cancelled.cancel->RequestCancel();
+  EXPECT_TRUE(session->Multiply(y, &y, nullptr, cancelled).IsDeadlineExceeded());
+  EXPECT_TRUE(same_bits(x0, y));
+  ASSERT_TRUE(session->Multiply(y, &y, nullptr).ok());
+  EXPECT_TRUE(same_bits(fresh0, y));
+
+  // One z reused across multiplies with different inputs (the closed-loop
+  // caller's pattern) is overwritten each time.
+  DenseMatrix z;
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(session->Multiply(x0, &z, nullptr).ok());
+    EXPECT_TRUE(same_bits(fresh0, z)) << "round " << round;
+    ASSERT_TRUE(session->Multiply(x1, &z, nullptr).ok());
+    EXPECT_TRUE(same_bits(fresh1, z)) << "round " << round;
+  }
 }
 
 // ---------------------------------------------------------------------------

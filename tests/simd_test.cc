@@ -4,10 +4,13 @@
 // the HCSPMM_FORCE_SCALAR environment round-trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "gnn/optimizers.h"
@@ -19,6 +22,7 @@
 #include "sparse/generate.h"
 #include "sparse/reference.h"
 #include "util/cpu_features.h"
+#include "util/half.h"
 #include "util/random.h"
 #include "util/simd.h"
 
@@ -76,6 +80,51 @@ std::vector<float> RandomVec(int64_t n, uint64_t seed, bool with_edge_values) {
 // above every lane width (1..8), plus non-multiples.
 const std::vector<int32_t> kDimSweep = {1, 7, 8, 9, 64, 100};
 
+// Bitwise equality, except that any two NaNs match: when both operands of
+// an add are NaN, IEEE 754 leaves the result's payload and sign open, and
+// compilers commute adds freely.
+void ExpectSameBitsOrBothNan(const float* a, const float* b, int64_t n,
+                             const char* what) {
+  for (int64_t i = 0; i < n; ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    uint32_t ba, bb;
+    std::memcpy(&ba, &a[i], sizeof(ba));
+    std::memcpy(&bb, &b[i], sizeof(bb));
+    ASSERT_EQ(ba, bb) << what << " diverges at element " << i << ": " << a[i]
+                      << " vs " << b[i];
+  }
+}
+
+// The Tensor-path reference expression, z += RoundTf32(v) * RoundTf32(x),
+// over rows [row_begin, row_end), written out independently of the library.
+void Tf32SpmmRows(const CsrMatrix& a, const DenseMatrix& x, int32_t row_begin,
+                  int32_t row_end, DenseMatrix* z) {
+  for (int32_t r = row_begin; r < row_end; ++r) {
+    float* zr = z->MutableRowData(r);
+    for (int64_t k = a.RowBegin(r); k < a.RowEnd(r); ++k) {
+      const float v = RoundTf32(a.val()[k]);
+      const float* xr = x.RowData(a.col_ind()[k]);
+      for (int32_t j = 0; j < x.cols(); ++j) zr[j] += v * RoundTf32(xr[j]);
+    }
+  }
+}
+
+// Values whose TF32 rounding or product is special: signed zeros,
+// denormals, infinities, NaN, FLT_MAX (rounds up to Inf), and a mantissa
+// exactly halfway between two TF32 values.
+const std::vector<float> kTf32EdgeValues = {
+    0.0f,
+    -0.0f,
+    std::numeric_limits<float>::denorm_min(),
+    -1e-40f,
+    std::numeric_limits<float>::infinity(),
+    -std::numeric_limits<float>::infinity(),
+    std::numeric_limits<float>::quiet_NaN(),
+    FLT_MAX,
+    -FLT_MAX,
+    1.0f + 0x1p-11f,
+};
+
 TEST(SimdDispatchTest, LevelNamesAndTables) {
   EXPECT_STREQ(SimdLevelName(SimdLevel::kScalar), "scalar");
   EXPECT_STREQ(SimdLevelName(SimdLevel::kSse2), "sse2");
@@ -128,6 +177,36 @@ TEST(SimdKernelTest, SpmmBitIdenticalAcrossLevelsAndTails) {
     best.spmm_rows(a.row_ptr().data(), a.col_ind().data(), a.val().data(),
                    x.RowData(0), z_simd.MutableRowData(0), 0, a.rows(), dim);
     ExpectBitwiseEqual(z_scalar, z_simd, "spmm");
+  }
+}
+
+TEST(SimdKernelTest, SpmmTf32MatchesReferenceLoopAtEveryLevel) {
+  ASSERT_EQ(RoundTf32(FLT_MAX), std::numeric_limits<float>::infinity());
+  for (int32_t dim : kDimSweep) {
+    Pcg32 rng(131 + dim);
+    CsrMatrix a = GenerateUniformSparse(120, 90, 0.08, &rng);
+    DenseMatrix x = GenerateDense(90, dim, &rng);
+    // Sprinkle the edge values over A and over a few rows of X, leaving most
+    // outputs finite so ordinary rounding stays covered too.
+    for (size_t i = 0; i < kTf32EdgeValues.size(); ++i) {
+      a.mutable_val()[(i * 37) % a.nnz()] = kTf32EdgeValues[i];
+      x.At(static_cast<int32_t>(i * 7 % 90), static_cast<int32_t>(i % dim)) =
+          kTf32EdgeValues[i];
+    }
+    DenseMatrix expected(a.rows(), dim);
+    Tf32SpmmRows(a, x, 0, a.rows(), &expected);
+    // KernelsFor falls back toward scalar where an ISA is missing, so every
+    // level is valid to request on any host.
+    for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2,
+                            SimdLevel::kNeon}) {
+      const simd::SimdKernels& k = simd::KernelsFor(level);
+      DenseMatrix z(a.rows(), dim);
+      k.spmm_rows_tf32(a.row_ptr().data(), a.col_ind().data(), a.val().data(),
+                       x.RowData(0), z.MutableRowData(0), 0, a.rows(), dim);
+      ExpectSameBitsOrBothNan(expected.data().data(), z.data().data(),
+                              static_cast<int64_t>(z.data().size()),
+                              SimdLevelName(k.level));
+    }
   }
 }
 
@@ -304,6 +383,68 @@ TEST(SimdIntegrationTest, ShardedSpmmBitIdenticalScalarVsDispatched) {
     DenseMatrix z;
     ASSERT_TRUE(sharded->Multiply(x, &z, nullptr).ok());
     ExpectBitwiseEqual(z_scalar, z, "sharded multiply");
+  }
+}
+
+TEST(SimdIntegrationTest, DefaultDtypeHybridBitIdenticalScalarVsDispatched) {
+  // Default SessionOptions: TF32 on the Tensor windows, fp32 on the CUDA
+  // ones. Dense molecule communities next to a sparse power-law block give
+  // the plan both kinds of window.
+  Pcg32 rng(2024);
+  Graph dense = MoleculeUnion(600, 9000, 24, 8, &rng);
+  Graph sparse = RMat(9, 1500, 8, &rng);
+  CooMatrix coo(dense.num_vertices + sparse.num_vertices,
+                dense.num_vertices + sparse.num_vertices);
+  const CsrMatrix& da = dense.adjacency;
+  const CsrMatrix& sa = sparse.adjacency;
+  for (int32_t r = 0; r < da.rows(); ++r) {
+    for (int64_t k = da.RowBegin(r); k < da.RowEnd(r); ++k) {
+      coo.Add(r, da.col_ind()[k], da.val()[k]);
+    }
+  }
+  for (int32_t r = 0; r < sa.rows(); ++r) {
+    for (int64_t k = sa.RowBegin(r); k < sa.RowEnd(r); ++k) {
+      coo.Add(da.rows() + r, da.rows() + sa.col_ind()[k], sa.val()[k]);
+    }
+  }
+  CsrMatrix abar = GcnNormalized(CooToCsr(coo));
+  DenseMatrix x = GenerateDense(abar.cols(), 37, &rng);  // tails in play
+
+  DenseMatrix z_scalar;
+  {
+    ScopedSimdLevel forced(SimdLevel::kScalar);
+    auto session = Runtime::Default()->OpenSession(&abar, SessionOptions());
+    ASSERT_TRUE(session->Multiply(x, &z_scalar, nullptr).ok());
+  }
+  auto session = Runtime::Default()->OpenSession(&abar, SessionOptions());
+  DenseMatrix z;
+  ASSERT_TRUE(session->Multiply(x, &z, nullptr).ok());
+  ExpectBitwiseEqual(z_scalar, z, "default-dtype session multiply");
+
+  // Row by row, the result is the TF32 reference on Tensor windows and the
+  // fp32 reference on CUDA windows.
+  const HybridPlan& plan = *session->plan();
+  ASSERT_GT(plan.windows_tensor, 0);
+  ASSERT_GT(plan.windows_cuda, 0);
+  DenseMatrix expected = ReferenceSpmm(abar, x);
+  for (size_t i = 0; i < plan.windows.windows.size(); ++i) {
+    if (plan.assignment[i] != CoreType::kTensorCore) continue;
+    const RowWindow& w = plan.windows.windows[i];
+    const int32_t end = w.first_row + w.num_rows;
+    std::fill(expected.MutableRowData(w.first_row), expected.MutableRowData(end),
+              0.0f);
+    Tf32SpmmRows(abar, x, w.first_row, end, &expected);
+  }
+  ExpectBitwiseEqual(expected, z, "vs per-window reference");
+
+  for (int k : {1, 2, 4, 7}) {
+    ShardingOptions shards;
+    shards.num_shards = k;
+    auto sharded =
+        ShardedSession::Open(Runtime::Default(), abar, SessionOptions(), shards);
+    DenseMatrix z_sharded;
+    ASSERT_TRUE(sharded->Multiply(x, &z_sharded, nullptr).ok());
+    ExpectBitwiseEqual(z_scalar, z_sharded, "default-dtype sharded multiply");
   }
 }
 
