@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
               DataTypeName(opts.dtype));
 
   std::vector<std::string> to_run =
-      compare ? KernelNames() : std::vector<std::string>{kernel_name};
+      compare ? RegisteredKernelNames() : std::vector<std::string>{kernel_name};
   for (const std::string& name : to_run) {
     auto kernel = MakeKernel(name);
     if (kernel == nullptr) {

@@ -38,7 +38,7 @@ Status HcSpmm::RunWithPlan(const HybridPlan& plan, const CsrMatrix& a,
   // content equality: a matrix with an identical row-nnz profile but
   // different column indices/values still passes and computes with the
   // plan's stale window classification (see the header precondition; the
-  // SpmmEngine/PlanCache path keys plans by full content fingerprint).
+  // Session/PlanCache path keys plans by full content fingerprint).
   int32_t next_row = 0;
   for (const RowWindow& w : ws) {
     // 64-bit sum: the guard itself must not overflow on a corrupt plan.

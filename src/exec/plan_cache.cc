@@ -33,7 +33,6 @@ size_t PlanCacheKeyHash::operator()(const PlanCacheKey& k) const {
   h = FnvMix(h, &dt, sizeof(dt));
   h = FnvMix(h, &k.selector_params, sizeof(k.selector_params));
   h = FnvMix(h, &k.index_storage, sizeof(k.index_storage));
-  h = FnvMix(h, &k.feature_precision, sizeof(k.feature_precision));
   return static_cast<size_t>(h);
 }
 

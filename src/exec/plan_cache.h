@@ -1,7 +1,7 @@
 // Process-wide cache of HC-SpMM HybridPlans. Preprocessing (windowing +
 // condensing + selector classification) is the one-time cost the paper
 // amortizes across a training run (Appendix F, Table XI); the cache extends
-// that amortization across engines and runs: any SpmmEngine bound to a
+// that amortization across sessions and runs: any Session bound to a
 // matrix with identical content on the same device/dtype reuses the plan
 // instead of rebuilding it. Entries are LRU-evicted under a byte budget.
 #pragma once
@@ -45,18 +45,12 @@ struct PlanCacheKey {
   /// same matrix never alias (a plain session must not pay the sidecar,
   /// and a compressed one must find it built).
   uint8_t index_storage = 0;
-  /// FeaturePrecision the session feeds the kernels (cast of the enum).
-  /// The plan content is identical across precisions, but keying on it
-  /// keeps fp32 and fp16/bf16 bindings from sharing an entry, mirroring
-  /// the dtype field's role for the simulated tensor path.
-  uint8_t feature_precision = 0;
 
   bool operator==(const PlanCacheKey& o) const {
     return fingerprint == o.fingerprint && rows == o.rows && nnz == o.nnz &&
            device == o.device && device_params == o.device_params &&
            dtype == o.dtype && selector_params == o.selector_params &&
-           index_storage == o.index_storage &&
-           feature_precision == o.feature_precision;
+           index_storage == o.index_storage;
   }
 };
 
@@ -85,7 +79,7 @@ class PlanCache {
 
   explicit PlanCache(int64_t byte_budget = kDefaultByteBudget);
 
-  /// Process-wide instance used by the default Runtime (and thus SpmmEngine).
+  /// Process-wide instance used by the default Runtime.
   /// Its byte budget honors HCSPMM_PLAN_CACHE_BYTES at first use; see
   /// DefaultPlanCacheByteBudget().
   static PlanCache* Global();

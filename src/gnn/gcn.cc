@@ -17,11 +17,8 @@ DenseMatrix GlorotInit(int32_t in_dim, int32_t out_dim, Pcg32* rng) {
   return w;
 }
 
-GcnModel::GcnModel(const Graph* graph, const GnnConfig& config, SpmmEngine* engine)
-    : GcnModel(graph, config, engine->agg()) {}
-
-GcnModel::GcnModel(const Graph* graph, const GnnConfig& config, AggregatorRef agg)
-    : graph_(graph), config_(config), agg_(agg) {
+GcnModel::GcnModel(const Graph* graph, const GnnConfig& config, SpmmBackend* backend)
+    : graph_(graph), config_(config), backend_(backend) {
   HCSPMM_CHECK(config_.num_layers >= 1);
   Pcg32 rng(config_.seed);
   int32_t in_dim = graph_->feature_dim;
@@ -39,9 +36,9 @@ GcnModel::GcnModel(const Graph* graph, const GnnConfig& config, AggregatorRef ag
 }
 
 Future<DenseMatrix> GcnModel::Aggregate(DenseMatrix in, KernelProfile* profile) {
-  if (config_.async_pipeline) return agg_.MultiplyAsync(std::move(in), profile);
+  if (config_.async_pipeline) return backend_->MultiplyAsync(std::move(in), profile);
   DenseMatrix out;
-  HCSPMM_CHECK_OK(agg_.Multiply(in, &out, profile));
+  HCSPMM_CHECK_OK(backend_->Multiply(in, &out, profile));
   return MakeReadyFuture<DenseMatrix>(std::move(out));
 }
 
@@ -55,7 +52,7 @@ DenseMatrix GcnModel::Forward(PhaseBreakdown* times) {
     // Update phase: U = X W (Equation 2, cuBLAS GEMM).
     KernelProfile gemm_prof;
     DenseMatrix u =
-        MeteredGemm(x, weights_[l], agg_.device(), agg_.dtype(), &gemm_prof);
+        MeteredGemm(x, weights_[l], backend_->device(), backend_->dtype(), &gemm_prof);
     if (times != nullptr) FoldProfile(gemm_prof, &times->update_ns, &times->launch_ns);
 
     // Aggregation phase: Z = Abar U (Equation 1, SpMM). The forward chain is
@@ -63,13 +60,13 @@ DenseMatrix GcnModel::Forward(PhaseBreakdown* times) {
     // it runs synchronously; pipelining lives in Backward.
     KernelProfile agg_prof;
     DenseMatrix z;
-    HCSPMM_CHECK_OK(agg_.Multiply(u, &z, &agg_prof));
+    HCSPMM_CHECK_OK(backend_->Multiply(u, &z, &agg_prof));
     if (times != nullptr) FoldProfile(agg_prof, &times->agg_ns, &times->launch_ns);
 
     aggregated_.push_back(z);
     if (l < config_.num_layers - 1) {
       KernelProfile relu_prof;
-      MeteredReluInPlace(&z, agg_.device(), &relu_prof);
+      MeteredReluInPlace(&z, backend_->device(), &relu_prof);
       if (times != nullptr) {
         FoldProfile(relu_prof, &times->elementwise_ns, &times->launch_ns);
       }
@@ -84,8 +81,8 @@ DenseMatrix GcnModel::Forward(PhaseBreakdown* times) {
 
 void GcnModel::Backward(const DenseMatrix& grad_logits, PhaseBreakdown* times) {
   HCSPMM_CHECK(inputs_.size() == weights_.size()) << "run Forward first";
-  const DeviceSpec& dev = agg_.device();
-  const DataType dtype = agg_.dtype();
+  const DeviceSpec& dev = backend_->device();
+  const DataType dtype = backend_->dtype();
   const int32_t num_layers = config_.num_layers;
 
   // Software pipeline: the aggregation for layer l-1 is submitted as soon as

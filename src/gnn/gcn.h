@@ -9,10 +9,27 @@
 #include <vector>
 
 #include "gnn/optimizers.h"
-#include "gnn/spmm_engine.h"
 #include "graph/graph.h"
+#include "runtime/spmm_backend.h"
 
 namespace hcspmm {
+
+/// Per-phase simulated time breakdown of a forward or backward pass.
+struct PhaseBreakdown {
+  double agg_ns = 0.0;          ///< Aggregation (SpMM) kernel time
+  double update_ns = 0.0;       ///< Update (GEMM) kernel time
+  double elementwise_ns = 0.0;  ///< activations and their gradients
+  double launch_ns = 0.0;       ///< kernel launch overheads
+
+  double TotalNs() const { return agg_ns + update_ns + elementwise_ns + launch_ns; }
+  double TotalMs() const { return TotalNs() / 1e6; }
+  void Add(const PhaseBreakdown& o) {
+    agg_ns += o.agg_ns;
+    update_ns += o.update_ns;
+    elementwise_ns += o.elementwise_ns;
+    launch_ns += o.launch_ns;
+  }
+};
 
 /// Shared GNN hyperparameters.
 struct GnnConfig {
@@ -52,15 +69,9 @@ struct EpochResult {
 /// \brief Multi-layer GCN with full forward/backward and SGD.
 class GcnModel {
  public:
-  /// `graph` and the aggregator's backing Session or ShardedSession must
-  /// outlive the model; the bound sparse operator must be
-  /// GcnNormalized(graph->adjacency). Accepts a Session* or ShardedSession*
-  /// directly (AggregatorRef converts implicitly).
-  GcnModel(const Graph* graph, const GnnConfig& config, AggregatorRef agg);
-
-  /// Back-compat adapter: binds to the engine's underlying (possibly
-  /// sharded) session.
-  GcnModel(const Graph* graph, const GnnConfig& config, SpmmEngine* engine);
+  /// `graph` and `backend` (a Session or ShardedSession) must outlive the
+  /// model; the bound sparse operator must be GcnNormalized(graph->adjacency).
+  GcnModel(const Graph* graph, const GnnConfig& config, SpmmBackend* backend);
 
   /// Forward pass; caches activations for backward. Returns logits.
   DenseMatrix Forward(PhaseBreakdown* times);
@@ -88,7 +99,7 @@ class GcnModel {
 
   const Graph* graph_;
   GnnConfig config_;
-  AggregatorRef agg_;
+  SpmmBackend* backend_;
   std::vector<DenseMatrix> weights_;
   std::unique_ptr<Optimizer> optimizer_;
   Pcg32 dropout_rng_{0xd509};

@@ -6,11 +6,8 @@
 
 namespace hcspmm {
 
-GinModel::GinModel(const Graph* graph, const GnnConfig& config, SpmmEngine* engine)
-    : GinModel(graph, config, engine->agg()) {}
-
-GinModel::GinModel(const Graph* graph, const GnnConfig& config, AggregatorRef agg)
-    : graph_(graph), config_(config), agg_(agg) {
+GinModel::GinModel(const Graph* graph, const GnnConfig& config, SpmmBackend* backend)
+    : graph_(graph), config_(config), backend_(backend) {
   HCSPMM_CHECK(config_.num_layers >= 1);
   Pcg32 rng(config_.seed);
   int32_t in_dim = graph_->feature_dim;
@@ -24,9 +21,9 @@ GinModel::GinModel(const Graph* graph, const GnnConfig& config, AggregatorRef ag
 }
 
 Future<DenseMatrix> GinModel::Aggregate(DenseMatrix in, KernelProfile* profile) {
-  if (config_.async_pipeline) return agg_.MultiplyAsync(std::move(in), profile);
+  if (config_.async_pipeline) return backend_->MultiplyAsync(std::move(in), profile);
   DenseMatrix out;
-  HCSPMM_CHECK_OK(agg_.Multiply(in, &out, profile));
+  HCSPMM_CHECK_OK(backend_->Multiply(in, &out, profile));
   return MakeReadyFuture<DenseMatrix>(std::move(out));
 }
 
@@ -35,8 +32,8 @@ DenseMatrix GinModel::Forward(PhaseBreakdown* times) {
   aggregated_.clear();
   hidden_pre_.clear();
   hidden_act_.clear();
-  const DeviceSpec& dev = agg_.device();
-  const DataType dtype = agg_.dtype();
+  const DeviceSpec& dev = backend_->device();
+  const DataType dtype = backend_->dtype();
 
   DenseMatrix x = graph_->features;
   for (int32_t l = 0; l < config_.num_layers; ++l) {
@@ -46,7 +43,7 @@ DenseMatrix GinModel::Forward(PhaseBreakdown* times) {
     // pipelining overlap lives in Backward.
     KernelProfile agg_prof;
     DenseMatrix z;
-    HCSPMM_CHECK_OK(agg_.Multiply(x, &z, &agg_prof));
+    HCSPMM_CHECK_OK(backend_->Multiply(x, &z, &agg_prof));
     aggregated_.push_back(z);
 
     // Update: two-layer MLP.
@@ -77,8 +74,8 @@ DenseMatrix GinModel::Forward(PhaseBreakdown* times) {
 
 void GinModel::Backward(const DenseMatrix& grad_logits, PhaseBreakdown* times) {
   HCSPMM_CHECK(inputs_.size() == w1_.size()) << "run Forward first";
-  const DeviceSpec& dev = agg_.device();
-  const DataType dtype = agg_.dtype();
+  const DeviceSpec& dev = backend_->device();
+  const DataType dtype = backend_->dtype();
 
   DenseMatrix d_out = grad_logits;
   for (int32_t l = config_.num_layers - 1; l >= 0; --l) {

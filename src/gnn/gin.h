@@ -12,21 +12,13 @@ namespace hcspmm {
 /// \brief Multi-layer GIN with full forward/backward and SGD.
 class GinModel {
  public:
-  /// The bound sparse operator must be GinOperator(graph->adjacency).
-  /// Accepts a Session* or ShardedSession* (AggregatorRef converts
-  /// implicitly).
-  GinModel(const Graph* graph, const GnnConfig& config, AggregatorRef agg);
-
-  /// Back-compat adapter: binds to the engine's underlying (possibly
-  /// sharded) session.
-  GinModel(const Graph* graph, const GnnConfig& config, SpmmEngine* engine);
+  /// The bound sparse operator must be GinOperator(graph->adjacency);
+  /// `backend` (a Session or ShardedSession) must outlive the model.
+  GinModel(const Graph* graph, const GnnConfig& config, SpmmBackend* backend);
 
   DenseMatrix Forward(PhaseBreakdown* times);
   void Backward(const DenseMatrix& grad_logits, PhaseBreakdown* times);
   EpochResult TrainEpoch();
-
-  const std::vector<DenseMatrix>& mlp_w1() const { return w1_; }
-  const std::vector<DenseMatrix>& mlp_w2() const { return w2_; }
 
   int64_t ActivationBytes() const;
   int64_t ParameterBytes() const;
@@ -37,7 +29,7 @@ class GinModel {
 
   const Graph* graph_;
   GnnConfig config_;
-  AggregatorRef agg_;
+  SpmmBackend* backend_;
   std::vector<DenseMatrix> w1_, w2_;  // per-layer MLP weights
   // Caches from the last Forward.
   std::vector<DenseMatrix> inputs_;      // X_l

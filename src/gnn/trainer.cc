@@ -1,6 +1,7 @@
 #include "gnn/trainer.h"
 
 #include "runtime/runtime.h"
+#include "shard/sharded_session.h"
 #include "util/logging.h"
 
 namespace hcspmm {
@@ -38,30 +39,27 @@ TrainStats TrainGnn(const Graph& graph, GnnModelKind kind,
   if (config.compress_indices && kernel_name == "hcspmm") {
     options.set_compress_indices(true);
   }
-  std::shared_ptr<Session> session;
-  std::shared_ptr<ShardedSession> sharded;
+  std::shared_ptr<SpmmBackend> backend;
   if (config.num_shards > 1) {
     ShardingOptions sharding;
     sharding.num_shards = config.num_shards;
-    sharded = ShardedSession::Open(Runtime::Default(), abar, options, sharding);
+    backend = ShardedSession::Open(Runtime::Default(), abar, options, sharding);
   } else {
-    session = Runtime::Default()->OpenSession(&abar, options);
+    backend = Runtime::Default()->OpenSession(&abar, options);
   }
-  const AggregatorRef agg = session != nullptr ? AggregatorRef(session.get())
-                                               : AggregatorRef(sharded.get());
 
   if (kind == GnnModelKind::kGcn) {
-    GcnModel model(&graph, config, agg);
+    GcnModel model(&graph, config, backend.get());
     for (int32_t e = 0; e < epochs; ++e) stats.epochs.push_back(model.TrainEpoch());
     stats.memory_bytes = EstimateTrainingMemoryBytes(
-        graph, abar, agg, model.ActivationBytes(), model.ParameterBytes());
+        graph, abar, backend.get(), model.ActivationBytes(), model.ParameterBytes());
   } else {
-    GinModel model(&graph, config, agg);
+    GinModel model(&graph, config, backend.get());
     for (int32_t e = 0; e < epochs; ++e) stats.epochs.push_back(model.TrainEpoch());
     stats.memory_bytes = EstimateTrainingMemoryBytes(
-        graph, abar, agg, model.ActivationBytes(), model.ParameterBytes());
+        graph, abar, backend.get(), model.ActivationBytes(), model.ParameterBytes());
   }
-  stats.preprocess_ms = agg.PreprocessNs() / 1e6;
+  stats.preprocess_ms = backend->PreprocessNs() / 1e6;
   if (!stats.epochs.empty()) {
     stats.final_loss = stats.epochs.back().loss;
     stats.final_accuracy = stats.epochs.back().accuracy;
@@ -70,15 +68,15 @@ TrainStats TrainGnn(const Graph& graph, GnnModelKind kind,
 }
 
 int64_t EstimateTrainingMemoryBytes(const Graph& graph, const CsrMatrix& abar,
-                                    AggregatorRef agg, int64_t activation_bytes,
-                                    int64_t parameter_bytes) {
+                                    const SpmmBackend* backend,
+                                    int64_t activation_bytes, int64_t parameter_bytes) {
   int64_t bytes = 0;
   bytes += graph.features.MemoryBytes();
   bytes += static_cast<int64_t>(graph.labels.size()) * 4;
   bytes += abar.MemoryBytes();
   bytes += activation_bytes;
   bytes += parameter_bytes;
-  bytes += agg.AuxMemoryBytes();
+  bytes += backend->AuxMemoryBytes();
   return bytes;
 }
 

@@ -43,10 +43,10 @@ TrainStats TrainGnn(const Graph& graph, GnnModelKind kind,
                     DataType dtype = DataType::kTf32);
 
 /// Estimated training-time GPU memory: graph + operator + activations +
-/// parameters + kernel-specific auxiliary structures (Table XII). `agg` is
-/// the bound Session or ShardedSession (aux memory sums over shards).
+/// parameters + kernel-specific auxiliary structures (Table XII). `backend`
+/// is bound to `abar` (aux memory sums over shards).
 int64_t EstimateTrainingMemoryBytes(const Graph& graph, const CsrMatrix& abar,
-                                    AggregatorRef agg, int64_t activation_bytes,
-                                    int64_t parameter_bytes);
+                                    const SpmmBackend* backend,
+                                    int64_t activation_bytes, int64_t parameter_bytes);
 
 }  // namespace hcspmm

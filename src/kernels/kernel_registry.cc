@@ -139,6 +139,4 @@ const std::vector<std::string>& RegisteredKernelNames() {
   return names;
 }
 
-std::vector<std::string> KernelNames() { return RegisteredKernelNames(); }
-
 }  // namespace hcspmm

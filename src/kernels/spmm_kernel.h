@@ -99,11 +99,8 @@ void SpmmRowsRounded(const CsrMatrix& a, const DenseMatrix& x, int32_t row_begin
 /// names; callers that need a diagnostic should list RegisteredKernelNames().
 std::unique_ptr<SpmmKernel> MakeKernel(const std::string& name);
 
-/// All registered kernel names in a stable order.
-std::vector<std::string> KernelNames();
-
-/// Canonical listing of every name MakeKernel accepts (same contents as
-/// KernelNames); use it to build "unknown kernel" error messages.
+/// Every name MakeKernel accepts, in a stable order; use it to iterate the
+/// kernels or to build "unknown kernel" error messages.
 const std::vector<std::string>& RegisteredKernelNames();
 
 }  // namespace hcspmm

@@ -71,11 +71,10 @@ Status Session::Initialize() {
         options_.has_selector()
             ? MakePlanCacheKey(*abar_, options_.device(), options_.dtype(), selector)
             : MakePlanCacheKey(*abar_, options_.device(), options_.dtype());
-    // Compressed/plain and fp32/reduced bindings never alias: the packed
-    // sidecar must exist exactly when requested, and precision tags keep
-    // the cache honest about what the session feeds the kernels.
+    // Compressed and plain bindings never alias: the packed sidecar must
+    // exist exactly when requested. Feature precision is not keyed — the
+    // plan does not depend on it, so fp32 and fp16/bf16 sessions share one.
     key.index_storage = options_.compress_indices() ? 1 : 0;
-    key.feature_precision = static_cast<uint8_t>(options_.feature_precision());
     v0->fingerprint = key.fingerprint;
     v0->plan = cache_->Lookup(key);
     if (v0->plan != nullptr) {
@@ -171,7 +170,8 @@ std::shared_ptr<const PlanVersion> Session::TryPinVersion() const {
   return current_;
 }
 
-Status Session::ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* stats) {
+Status Session::ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* stats,
+                            std::shared_ptr<const CsrMatrix>* patched_csr) {
   HCSPMM_RETURN_NOT_OK(init_.status());
   if (options_.kernel_name() != "hcspmm") {
     return Status::InvalidArgument(
@@ -219,7 +219,6 @@ Status Session::ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* stats) {
   key.dtype = options_.dtype();
   key.selector_params = options_.has_selector() ? FingerprintSelector(selector) : 0;
   key.index_storage = options_.compress_indices() ? 1 : 0;
-  key.feature_precision = static_cast<uint8_t>(options_.feature_precision());
   pp.plan.windows.csr = nullptr;  // detach before sharing (see Initialize)
   auto shared_plan = std::make_shared<const HybridPlan>(std::move(pp.plan));
   cache_->Insert(key, shared_plan);
@@ -229,6 +228,7 @@ Status Session::ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* stats) {
     std::lock_guard<std::mutex> lk(version_mu_);
     current_ = std::move(next);
   }
+  if (patched_csr != nullptr) *patched_csr = std::move(csr);
   if (stats != nullptr) {
     stats->version = base->version + 1;
     stats->inserted += local.inserted;
@@ -253,8 +253,6 @@ const HybridPlan* Session::plan() const { return CurrentVersion()->plan.get(); }
 uint64_t Session::content_fingerprint() const { return CurrentVersion()->fingerprint; }
 
 uint64_t Session::version() const { return CurrentVersion()->version; }
-
-const CsrMatrix& Session::abar() const { return *CurrentVersion()->csr; }
 
 Status Session::MultiplyOnWithThreads(const PlanVersion& v, const DenseMatrix& x,
                                       DenseMatrix* z, KernelProfile* profile,
@@ -411,22 +409,9 @@ Future<bool> Session::SubmitAsync(std::function<Status()> fn, int stream) {
   return promise.future();
 }
 
-Status Session::MultiplyBatchOn(const PlanVersion& v,
-                                const std::vector<const DenseMatrix*>& xs,
+Status Session::MultiplyBatchOn(const PlanVersion& v, const std::vector<DenseMatrix>& xs,
                                 std::vector<DenseMatrix>* zs, KernelProfile* profile,
                                 const ExecControls& ctl) const {
-  if (zs == nullptr) return Status::InvalidArgument("MultiplyBatch: zs is null");
-  for (const DenseMatrix* x : xs) {
-    if (x == nullptr) return Status::InvalidArgument("MultiplyBatch: null input");
-  }
-  if (xs.empty()) {  // fast path: no scratch, no pool dispatch
-    zs->clear();
-    return Status::OK();
-  }
-
-  // Results go into a scratch vector first so callers may alias *zs with the
-  // inputs (in-place layer chaining): nothing xs points at is touched until
-  // every item finished computing.
   std::vector<DenseMatrix> results(xs.size());
   std::vector<KernelProfile> profiles(xs.size());
   std::vector<Status> statuses(xs.size());
@@ -437,7 +422,7 @@ Status Session::MultiplyBatchOn(const PlanVersion& v,
     ParallelFor(0, static_cast<int64_t>(xs.size()), options_.num_threads(),
                 [&](int64_t begin, int64_t end) {
                   for (int64_t i = begin; i < end; ++i) {
-                    statuses[i] = MultiplyWithControls(v, *xs[i], &results[i],
+                    statuses[i] = MultiplyWithControls(v, xs[i], &results[i],
                                                        &profiles[i],
                                                        /*num_threads=*/1, ctl);
                   }
@@ -446,7 +431,7 @@ Status Session::MultiplyBatchOn(const PlanVersion& v,
     // Narrow batch: item-level parallelism would idle most of the pool, so
     // run items sequentially with full row-level parallelism each.
     for (size_t i = 0; i < xs.size(); ++i) {
-      statuses[i] = MultiplyWithControls(v, *xs[i], &results[i], &profiles[i],
+      statuses[i] = MultiplyWithControls(v, xs[i], &results[i], &profiles[i],
                                          options_.num_threads(), ctl);
     }
   }
@@ -460,21 +445,13 @@ Status Session::MultiplyBatchOn(const PlanVersion& v,
   return Status::OK();
 }
 
-Status Session::MultiplyBatch(const std::vector<const DenseMatrix*>& xs,
-                              std::vector<DenseMatrix>* zs, KernelProfile* profile,
-                              const ExecControls& ctl) const {
-  HCSPMM_RETURN_NOT_OK(init_.status());
-  auto v = CurrentVersion();
-  return MultiplyBatchOn(*v, xs, zs, profile, ctl);
-}
-
 Future<std::vector<DenseMatrix>> Session::MultiplyBatchAsync(
     std::vector<DenseMatrix> xs, KernelProfile* profile, int stream,
     ExecControls ctl) {
   if (xs.empty()) {
     // Fast path: no stream task, no pool dispatch — chained on init only so
-    // a broken session stays observable (an init error propagates, matching
-    // the synchronous path). Resolves inline once preprocessing is done.
+    // a broken session stays observable (an init error propagates, as on
+    // every other entry point). Resolves inline once preprocessing is done.
     return init_.Then([](const bool&) { return std::vector<DenseMatrix>(); });
   }
   Promise<std::vector<DenseMatrix>> promise;
@@ -487,11 +464,8 @@ Future<std::vector<DenseMatrix>> Session::MultiplyBatchAsync(
       return;
     }
     const PlanVersion& v = pinned != nullptr ? *pinned : *self->initial_;
-    std::vector<const DenseMatrix*> ptrs;
-    ptrs.reserve(xs.size());
-    for (const DenseMatrix& x : xs) ptrs.push_back(&x);
     std::vector<DenseMatrix> zs;
-    Status st = self->MultiplyBatchOn(v, ptrs, &zs, profile, ctl);
+    Status st = self->MultiplyBatchOn(v, xs, &zs, profile, ctl);
     if (st.ok()) {
       promise.Set(std::move(zs));
     } else {

@@ -1,6 +1,6 @@
 // Session: one SpMM kernel bound to one sparse operator, with asynchronous,
 // stream-ordered submission. This is the engine layer the rest of the
-// library builds on — SpmmEngine is a thin synchronous adapter over it.
+// library builds on, and the unsharded SpmmBackend.
 //
 // Opening a session returns immediately: preprocessing (plan building /
 // fingerprint lookup for "hcspmm", window construction for the baselines)
@@ -24,6 +24,7 @@
 #include "exec/thread_pool.h"
 #include "kernels/spmm_kernel.h"
 #include "runtime/future.h"
+#include "runtime/spmm_backend.h"
 #include "stream/delta.h"
 #include "util/fault.h"
 
@@ -153,7 +154,7 @@ class SessionOptions {
 class Runtime;
 
 /// \brief An async SpMM engine: kernel + operator + plan + FIFO streams.
-class Session : public std::enable_shared_from_this<Session> {
+class Session : public SpmmBackend, public std::enable_shared_from_this<Session> {
  public:
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -161,10 +162,7 @@ class Session : public std::enable_shared_from_this<Session> {
   /// Block until preprocessing finished; returns its outcome (also the
   /// "unknown kernel" diagnostic). Every other accessor below that depends
   /// on the plan waits internally, so calling this first is optional.
-  Status WaitReady() const { return init_.status(); }
-
-  /// Non-blocking: has preprocessing completed (successfully or not)?
-  bool initialized() const { return init_.ready(); }
+  Status WaitReady() const override { return init_.status(); }
 
   /// The preprocessing future itself (resolves true, or the init error).
   /// Whoever owns the bound matrix can chain a keepalive on it —
@@ -188,28 +186,24 @@ class Session : public std::enable_shared_from_this<Session> {
   /// mid-run leaves it empty (0 x 0). A successful retry recomputes from
   /// scratch, so fp32 results stay bit-identical to the fault-free run.
   Status Multiply(const DenseMatrix& x, DenseMatrix* z, KernelProfile* profile,
-                  const ExecControls& ctl = {}) const;
+                  const ExecControls& ctl = {}) const override;
 
   /// Submit z = Abar * x to `stream` and return a Future resolving to z (or
   /// the error Status). FIFO within a stream; concurrent across streams.
   /// If non-null, `profile` accumulates the multiply's metered cost before
   /// the future resolves — give each concurrent stream its own profile.
   Future<DenseMatrix> MultiplyAsync(DenseMatrix x, KernelProfile* profile = nullptr,
-                                    int stream = 0, ExecControls ctl = {});
+                                    int stream = 0, ExecControls ctl = {}) override;
 
-  /// Batched synchronous entry point (semantics of SpmmEngine::MultiplyBatch:
-  /// scratch results, aliasing-safe, profiles in batch order, first error
-  /// wins). An empty batch returns OK without touching the pool.
-  Status MultiplyBatch(const std::vector<const DenseMatrix*>& xs,
-                       std::vector<DenseMatrix>* zs, KernelProfile* profile,
-                       const ExecControls& ctl = {}) const;
-
-  /// Async batch over owned inputs. An empty batch resolves immediately
-  /// (already-ready future, no pool dispatch).
+  /// Async batch over owned inputs, as one stream task: a batch at least as
+  /// wide as the thread count runs its items in parallel (each serial
+  /// inside), a narrower one runs them in turn with full row parallelism.
+  /// Retry applies per item. An empty batch resolves once init did (its
+  /// error propagates) without a stream task.
   Future<std::vector<DenseMatrix>> MultiplyBatchAsync(std::vector<DenseMatrix> xs,
                                                       KernelProfile* profile = nullptr,
                                                       int stream = 0,
-                                                      ExecControls ctl = {});
+                                                      ExecControls ctl = {}) override;
 
   /// Submit an arbitrary task to `stream`, FIFO-ordered with the multiplies
   /// there; the future resolves to true (or `fn`'s error, or the init error
@@ -230,7 +224,9 @@ class Session : public std::enable_shared_from_this<Session> {
   /// async multiplies finish on the snapshot they pinned at submission; the
   /// next submission sees the patched plan. Waits for init; concurrent
   /// ApplyDeltas calls serialize. On error nothing is published.
-  Status ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* stats = nullptr);
+  /// `patched_csr` receives the new snapshot's matrix.
+  Status ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* stats = nullptr,
+                     std::shared_ptr<const CsrMatrix>* patched_csr = nullptr) override;
 
   /// The current (latest-published) snapshot; waits for init. Holding the
   /// returned shared_ptr pins the snapshot's matrix and plan — ShardedSession
@@ -255,14 +251,14 @@ class Session : public std::enable_shared_from_this<Session> {
 
   /// One-time preprocessing time in ns (0 on a PlanCache hit). Waits for
   /// preprocessing to finish.
-  double PreprocessNs() const;
+  double PreprocessNs() const override;
 
   /// True when the current version's plan came out of the PlanCache (waits).
-  bool plan_from_cache() const;
+  bool plan_from_cache() const override;
 
   /// Framework-specific auxiliary memory, Table XII, for the current
   /// version (waits).
-  int64_t AuxMemoryBytes() const;
+  int64_t AuxMemoryBytes() const override;
 
   /// Current version's hybrid plan — populated only for "hcspmm" (waits).
   /// Transient: the pointer is guaranteed only until the next ApplyDeltas;
@@ -276,12 +272,10 @@ class Session : public std::enable_shared_from_this<Session> {
   uint64_t content_fingerprint() const;
 
   const std::string& kernel_name() const { return options_.kernel_name(); }
-  const DeviceSpec& device() const { return options_.device(); }
-  DataType dtype() const { return options_.dtype(); }
+  const DeviceSpec& device() const override { return options_.device(); }
+  DataType dtype() const override { return options_.dtype(); }
   int num_threads() const { return options_.num_threads(); }
   int num_streams() const { return static_cast<int>(streams_.size()); }
-  /// Current version's matrix (waits). Transient like plan().
-  const CsrMatrix& abar() const;
 
  private:
   friend class Runtime;
@@ -337,12 +331,11 @@ class Session : public std::enable_shared_from_this<Session> {
                               DenseMatrix* z, KernelProfile* profile,
                               int num_threads, const ExecControls& ctl) const;
 
-  /// Batch body over a pinned snapshot (semantics of MultiplyBatch). Retry
-  /// applies per item: only failed items recompute, each from scratch.
-  Status MultiplyBatchOn(const PlanVersion& v,
-                         const std::vector<const DenseMatrix*>& xs,
+  /// Batch body over a pinned snapshot (semantics of MultiplyBatchAsync).
+  /// Retry applies per item: only failed items recompute, each from scratch.
+  Status MultiplyBatchOn(const PlanVersion& v, const std::vector<DenseMatrix>& xs,
                          std::vector<DenseMatrix>* zs, KernelProfile* profile,
-                         const ExecControls& ctl = {}) const;
+                         const ExecControls& ctl) const;
 
   /// Aux-memory model shared by Initialize and ApplyDeltas.
   int64_t ComputeAuxBytes(const HybridPlan* plan, const WindowedCsr& windows,

@@ -457,9 +457,9 @@ void Server::DispatcherLoop() {
 }
 
 void Server::DispatchBatch(BatchJob job) {
-  Result<PooledSession> session = pool_.Acquire(job.graph);
-  if (!session.ok()) {
-    CompleteBatch(std::move(job), session.status(), {});
+  Result<std::shared_ptr<SpmmBackend>> backend = pool_.Acquire(job.graph);
+  if (!backend.ok()) {
+    CompleteBatch(std::move(job), backend.status(), {});
     return;
   }
   ExecControls ctl;
@@ -479,8 +479,8 @@ void Server::DispatchBatch(BatchJob job) {
   std::vector<DenseMatrix> xs;
   xs.reserve(job.items.size());
   for (Pending& item : job.items) xs.push_back(std::move(item.x));
-  Future<std::vector<DenseMatrix>> batch = session.ValueOrDie().MultiplyBatchAsync(
-      std::move(xs), job.stream, std::move(ctl));
+  Future<std::vector<DenseMatrix>> batch = backend.ValueOrDie()->MultiplyBatchAsync(
+      std::move(xs), /*profile=*/nullptr, job.stream, std::move(ctl));
   // The callback owns the job (promises included); it runs on the executor
   // thread that fulfills the batch, scattering results back per request.
   auto shared_job = std::make_shared<BatchJob>(std::move(job));

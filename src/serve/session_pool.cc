@@ -1,65 +1,13 @@
 #include "serve/session_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "exec/plan_cache.h"
 #include "runtime/runtime.h"
+#include "shard/sharded_session.h"
 
 namespace hcspmm {
-
-namespace {
-
-// Join state for the sharded batch path: every item resolves into its slot,
-// the last one to finish fulfills the batch promise (first error wins, but
-// all items are always awaited so nothing dangles).
-struct BatchJoin {
-  explicit BatchJoin(size_t n) : zs(n), remaining(static_cast<int64_t>(n)) {}
-
-  std::vector<DenseMatrix> zs;
-  std::mutex mu;
-  Status first_error;
-  std::atomic<int64_t> remaining;
-  Promise<std::vector<DenseMatrix>> promise;
-};
-
-}  // namespace
-
-Future<std::vector<DenseMatrix>> PooledSession::MultiplyBatchAsync(
-    std::vector<DenseMatrix> xs, int stream, ExecControls ctl) const {
-  if (session_ != nullptr) {
-    return session_->MultiplyBatchAsync(std::move(xs), /*profile=*/nullptr, stream,
-                                        std::move(ctl));
-  }
-  if (xs.empty()) return MakeReadyFuture(std::vector<DenseMatrix>());
-  auto join = std::make_shared<BatchJoin>(xs.size());
-  auto sharded = sharded_;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    // One stream per item so items overlap across each shard's FIFO lanes
-    // (Session mods the index into its stream count).
-    Future<DenseMatrix> item = sharded->MultiplyAsync(
-        std::move(xs[i]), /*profile=*/nullptr, stream + static_cast<int>(i), ctl);
-    item.OnReady([join, item, i]() mutable {
-      {
-        std::lock_guard<std::mutex> lk(join->mu);
-        if (item.status().ok()) {
-          join->zs[i] = item.Take();
-        } else if (join->first_error.ok()) {
-          join->first_error = item.status();
-        }
-      }
-      if (join->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        if (join->first_error.ok()) {
-          join->promise.Set(std::move(join->zs));
-        } else {
-          join->promise.Set(join->first_error);
-        }
-      }
-    });
-  }
-  return join->promise.future();
-}
 
 SessionPool::SessionPool(Runtime* runtime, SessionPoolOptions options)
     : runtime_(runtime), options_(std::move(options)) {
@@ -71,19 +19,14 @@ SessionPool::~SessionPool() {
   // an *evicted* session's build may still be pending with the build task as
   // its only owner. Wait for every surviving backend to finish preprocessing
   // before the graphs_ map (and the matrices) goes away.
-  std::vector<std::shared_ptr<Session>> sessions;
-  std::vector<std::shared_ptr<ShardedSession>> sharded;
+  std::vector<std::shared_ptr<SpmmBackend>> backends;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    for (const std::weak_ptr<Session>& w : ever_opened_) {
-      if (std::shared_ptr<Session> s = w.lock()) sessions.push_back(std::move(s));
-    }
-    for (const std::weak_ptr<ShardedSession>& w : ever_opened_sharded_) {
-      if (std::shared_ptr<ShardedSession> s = w.lock()) sharded.push_back(std::move(s));
+    for (const std::weak_ptr<SpmmBackend>& w : ever_opened_) {
+      if (std::shared_ptr<SpmmBackend> b = w.lock()) backends.push_back(std::move(b));
     }
   }
-  for (const std::shared_ptr<Session>& s : sessions) (void)s->WaitReady();
-  for (const std::shared_ptr<ShardedSession>& s : sharded) (void)s->WaitReady();
+  for (const std::shared_ptr<SpmmBackend>& b : backends) (void)b->WaitReady();
 }
 
 uint64_t SessionPool::RegisterGraph(CsrMatrix abar) {
@@ -114,56 +57,44 @@ int64_t SessionPool::GraphNnz(uint64_t handle) const {
   return it == graphs_.end() ? -1 : it->second.abar->nnz();
 }
 
-namespace {
-
-template <typename T>
-void PruneExpired(std::vector<std::weak_ptr<T>>* refs) {
-  refs->erase(std::remove_if(refs->begin(), refs->end(),
-                             [](const std::weak_ptr<T>& w) { return w.expired(); }),
-              refs->end());
-}
-
-}  // namespace
-
-PooledSession SessionPool::OpenLocked(uint64_t handle, GraphEntry* entry) {
-  PruneExpired(&ever_opened_);
-  PruneExpired(&ever_opened_sharded_);
+std::shared_ptr<SpmmBackend> SessionPool::OpenLocked(uint64_t handle,
+                                                     const GraphEntry& entry) {
+  ever_opened_.erase(std::remove_if(ever_opened_.begin(), ever_opened_.end(),
+                                    [](const std::weak_ptr<SpmmBackend>& w) {
+                                      return w.expired();
+                                    }),
+                     ever_opened_.end());
   // The content fingerprint doubles as the graph's fault-domain scope: fault
   // schedules and retry jitter are then deterministic per graph no matter in
   // what order graphs are registered or (re)opened. Shard backends offset
   // their per-shard scopes from it.
   SessionOptions session_options = options_.session;
   session_options.set_fault_scope(handle);
-  PooledSession opened;
+  std::shared_ptr<SpmmBackend> opened;
   if (options_.num_shards > 1) {
     ShardingOptions sharding = options_.sharding;
     sharding.num_shards = options_.num_shards;
-    opened.sharded_ =
-        ShardedSession::Open(runtime_, *entry->abar, session_options, sharding);
-    ever_opened_sharded_.push_back(opened.sharded_);
+    opened = ShardedSession::Open(runtime_, *entry.abar, session_options, sharding);
   } else {
     // Shared-ownership open: the session pins the snapshot itself, so a
-    // later ApplyDeltas/Unregister can swap/drop entry->abar safely.
-    opened.session_ = runtime_->OpenSession(entry->abar, session_options);
-    ever_opened_.push_back(opened.session_);
+    // later ApplyDeltas/Unregister can swap/drop entry.abar safely.
+    opened = runtime_->OpenSession(entry.abar, session_options);
   }
+  ever_opened_.push_back(opened);
   ++opened_;
   return opened;
 }
 
 void SessionPool::EvictToBudgetLocked() {
-  while (resident_ > options_.max_sessions) {
+  while (static_cast<int64_t>(lru_.size()) > options_.max_sessions) {
     const uint64_t victim = lru_.back();
     lru_.pop_back();
-    GraphEntry& entry = graphs_.at(victim);
-    entry.open = PooledSession();  // in-flight work holds its own reference
-    entry.resident = false;
-    --resident_;
+    graphs_.at(victim).open.reset();  // in-flight work holds its own reference
     ++evicted_;
   }
 }
 
-Result<PooledSession> SessionPool::Acquire(uint64_t handle) {
+Result<std::shared_ptr<SpmmBackend>> SessionPool::Acquire(uint64_t handle) {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = graphs_.find(handle);
   if (it == graphs_.end()) {
@@ -171,17 +102,15 @@ Result<PooledSession> SessionPool::Acquire(uint64_t handle) {
                                    std::to_string(handle));
   }
   GraphEntry& entry = it->second;
-  if (entry.resident) {
+  if (entry.open != nullptr) {
     ++hits_;
     lru_.splice(lru_.begin(), lru_, entry.lru_pos);  // refresh
     return entry.open;
   }
   ++misses_;
-  entry.open = OpenLocked(handle, &entry);
-  entry.resident = true;
+  entry.open = OpenLocked(handle, entry);
   lru_.push_front(handle);
   entry.lru_pos = lru_.begin();
-  ++resident_;
   EvictToBudgetLocked();
   return entry.open;
 }
@@ -196,20 +125,14 @@ Result<uint64_t> SessionPool::ApplyDeltas(uint64_t handle, const DeltaBatch& bat
   }
   GraphEntry& entry = it->second;
 
-  // Patch the resident backend first (incremental plan maintenance; its
-  // in-flight multiplies finish on the snapshot they pinned), then swap the
-  // stored content. Errors — inapplicable batch, non-hcspmm kernel — leave
-  // both untouched.
-  if (entry.resident && entry.open.session_ != nullptr) {
-    HCSPMM_RETURN_NOT_OK(entry.open.session_->ApplyDeltas(batch, stats));
-    entry.abar = entry.open.session_->CurrentVersion()->owned;
+  // A resident backend patches itself (incremental plan maintenance; its
+  // in-flight multiplies finish on the snapshot they pinned) and hands back
+  // the patched matrix the pool stores for future (re)opens; otherwise the
+  // pool merges the batch itself. Errors — inapplicable batch, non-hcspmm
+  // kernel — leave both untouched.
+  if (entry.open != nullptr) {
+    HCSPMM_RETURN_NOT_OK(entry.open->ApplyDeltas(batch, stats, &entry.abar));
   } else {
-    if (entry.resident && entry.open.sharded_ != nullptr) {
-      HCSPMM_RETURN_NOT_OK(entry.open.sharded_->ApplyDeltas(batch, stats));
-      // The sharded backend owns per-shard snapshots; the pool still stores
-      // the full matrix for future (re)opens, patched below.
-      stats = nullptr;  // already filled by the sharded apply
-    }
     auto patched = ApplyDeltasToCsr(*entry.abar, batch, stats);
     HCSPMM_RETURN_NOT_OK(patched.status());
     entry.abar = std::make_shared<const CsrMatrix>(std::move(patched.ValueOrDie()));
@@ -223,15 +146,14 @@ Result<uint64_t> SessionPool::ApplyDeltas(uint64_t handle, const DeltaBatch& bat
     // Patched content collides with an already-registered graph: merge into
     // it (content dedup). The patched entry's backend stays alive through
     // any in-flight references; the pool keeps the incumbent.
-    if (entry.resident) {
+    if (entry.open != nullptr) {
       lru_.erase(entry.lru_pos);
-      --resident_;
       ++evicted_;
     }
     graphs_.erase(it);
     return new_handle;
   }
-  if (entry.resident) *entry.lru_pos = new_handle;
+  if (entry.open != nullptr) *entry.lru_pos = new_handle;
   auto node = graphs_.extract(it);
   node.key() = new_handle;
   graphs_.insert(std::move(node));
@@ -245,9 +167,8 @@ Status SessionPool::Unregister(uint64_t handle) {
     return Status::InvalidArgument("SessionPool: unknown graph handle " +
                                    std::to_string(handle));
   }
-  if (it->second.resident) {
+  if (it->second.open != nullptr) {
     lru_.erase(it->second.lru_pos);
-    --resident_;
     ++evicted_;
   }
   // In-flight work (and evicted sessions still preprocessing) holds shared
@@ -260,11 +181,9 @@ Status SessionPool::Unregister(uint64_t handle) {
 bool SessionPool::Evict(uint64_t handle) {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = graphs_.find(handle);
-  if (it == graphs_.end() || !it->second.resident) return false;
+  if (it == graphs_.end() || it->second.open == nullptr) return false;
   lru_.erase(it->second.lru_pos);
-  it->second.open = PooledSession();
-  it->second.resident = false;
-  --resident_;
+  it->second.open.reset();
   ++evicted_;
   return true;
 }
@@ -273,7 +192,7 @@ SessionPoolStats SessionPool::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   SessionPoolStats s;
   s.graphs = static_cast<int64_t>(graphs_.size());
-  s.resident = resident_;
+  s.resident = static_cast<int64_t>(lru_.size());
   s.hits = hits_;
   s.misses = misses_;
   s.opened = opened_;

@@ -18,7 +18,8 @@
 #include <vector>
 
 #include "runtime/session.h"
-#include "shard/sharded_session.h"
+#include "runtime/spmm_backend.h"
+#include "shard/partitioner.h"
 #include "sparse/csr.h"
 #include "stream/delta.h"
 #include "util/status.h"
@@ -51,46 +52,6 @@ struct SessionPoolStats {
   int64_t evicted = 0;   ///< sessions LRU-evicted
 };
 
-/// \brief Owning handle to a pooled backend (plain or sharded session,
-/// exactly one non-null). Copies share the backend; holding one keeps it
-/// alive across pool eviction.
-class PooledSession {
- public:
-  PooledSession() = default;
-
-  bool valid() const { return session_ != nullptr || sharded_ != nullptr; }
-
-  /// Non-owning view for the Session-shaped sync API.
-  AggregatorRef ref() const {
-    return session_ != nullptr ? AggregatorRef(session_.get())
-                               : AggregatorRef(sharded_.get());
-  }
-
-  /// Async batched multiply used by the server's micro-batcher. For a plain
-  /// session this is Session::MultiplyBatchAsync verbatim; for a sharded
-  /// backend each item fans out via ShardedSession::MultiplyAsync on its own
-  /// stream and the results join into batch order. Either way every item is
-  /// computed exactly like a direct Multiply on the same input — per-request
-  /// accumulation order never changes, so fp32 results are bit-identical.
-  /// An empty batch resolves immediately. ExecControls forward into the
-  /// backend (per-item retry; for a sharded backend retry re-dispatches only
-  /// the failed shard's row slice).
-  Future<std::vector<DenseMatrix>> MultiplyBatchAsync(std::vector<DenseMatrix> xs,
-                                                      int stream = 0,
-                                                      ExecControls ctl = {}) const;
-
-  /// Block until preprocessing finished; returns its outcome.
-  Status WaitReady() const {
-    return session_ != nullptr ? session_->WaitReady() : sharded_->WaitReady();
-  }
-
- private:
-  friend class SessionPool;
-
-  std::shared_ptr<Session> session_;
-  std::shared_ptr<ShardedSession> sharded_;
-};
-
 /// \brief Concurrent, LRU-bounded manager of graphs and their sessions.
 class SessionPool {
  public:
@@ -99,7 +60,7 @@ class SessionPool {
   /// ones still finishing their queued plan build) is done preprocessing —
   /// sessions read the pool-owned CSR during plan building, so the graphs
   /// must not be freed under them. Callers must still drain their own
-  /// multiplies and drop PooledSession handles before destroying the pool.
+  /// multiplies and drop acquired backends before destroying the pool.
   ~SessionPool();
   SessionPool(const SessionPool&) = delete;
   SessionPool& operator=(const SessionPool&) = delete;
@@ -122,18 +83,20 @@ class SessionPool {
   /// the server's size-aware WFQ cost (nnz x feature dim) reads this.
   int64_t GraphNnz(uint64_t handle) const;
 
-  /// Get-or-open the session for `handle` (refreshing its LRU position).
-  /// Opening is non-blocking — plan building runs on the runtime pool, and
-  /// the returned handle's operations gate on it — and may evict the
-  /// least-recently-used open session to hold the budget. Unknown handles
-  /// return InvalidArgument.
-  Result<PooledSession> Acquire(uint64_t handle);
+  /// Get-or-open the backend for `handle` (refreshing its LRU position): a
+  /// Session, or a ShardedSession when num_shards > 1. Opening is
+  /// non-blocking — plan building runs on the runtime pool, and the
+  /// backend's operations gate on it — and may evict the least-recently-used
+  /// open backend to hold the budget. The returned reference keeps the
+  /// backend alive across eviction. Unknown handles return InvalidArgument.
+  Result<std::shared_ptr<SpmmBackend>> Acquire(uint64_t handle);
 
   /// Streaming admission: patch the registered graph `handle` in place with
   /// an edge-delta batch and re-fingerprint its entry. The stored CSR is
   /// swapped for the patched content; a resident backend is patched through
-  /// Session/ShardedSession::ApplyDeltas (incremental plan maintenance), so
-  /// its in-flight multiplies finish on the old snapshot. Returns the new
+  /// SpmmBackend::ApplyDeltas (incremental plan maintenance), which also
+  /// hands back the patched matrix, so its in-flight multiplies finish on the
+  /// old snapshot and the batch is merged once. Returns the new
   /// handle — FoldFingerprint(handle, batch.Hash()) — under which the entry
   /// is now registered; the old handle is forgotten. If patched content
   /// collides with an already-registered graph, the patched entry is merged
@@ -160,16 +123,15 @@ class SessionPool {
     /// OpenSession), so ApplyDeltas/Unregister may swap or drop it while an
     /// already-open session still computes on the old snapshot.
     std::shared_ptr<const CsrMatrix> abar;
-    PooledSession open;  // invalid when not resident
+    std::shared_ptr<SpmmBackend> open;  // null when not resident
     std::list<uint64_t>::iterator lru_pos;
-    bool resident = false;
   };
 
-  /// Open a session for the entry (lock held; the open itself is
+  /// Open a backend for the entry (lock held; the open itself is
   /// non-blocking so the critical section stays short). `handle` seeds the
   /// backend's fault scope so each graph is its own deterministic fault
   /// domain (shards offset from it).
-  PooledSession OpenLocked(uint64_t handle, GraphEntry* entry);
+  std::shared_ptr<SpmmBackend> OpenLocked(uint64_t handle, const GraphEntry& entry);
   void EvictToBudgetLocked();
 
   Runtime* runtime_;
@@ -180,9 +142,7 @@ class SessionPool {
   std::list<uint64_t> lru_;  // front = most recently used, resident only
   /// Weak refs to every backend ever opened; the destructor waits on the
   /// survivors so no plan-build task outlives the graphs it reads.
-  std::vector<std::weak_ptr<Session>> ever_opened_;
-  std::vector<std::weak_ptr<ShardedSession>> ever_opened_sharded_;
-  int64_t resident_ = 0;
+  std::vector<std::weak_ptr<SpmmBackend>> ever_opened_;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
   int64_t opened_ = 0;

@@ -128,7 +128,8 @@ int64_t ShardedSession::AuxMemoryBytes() const {
   return total;
 }
 
-Status ShardedSession::ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* stats) {
+Status ShardedSession::ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* stats,
+                                   std::shared_ptr<const CsrMatrix>* patched_csr) {
   HCSPMM_RETURN_NOT_OK(WaitReady());
   if (options_.kernel_name() != "hcspmm") {
     return Status::InvalidArgument(
@@ -204,13 +205,16 @@ Status ShardedSession::ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* sta
                          static_cast<double>(max_nnz) >
                              sharding_.rebalance_threshold * mean_nnz;
 
-  std::shared_ptr<const ShardState> next;
-  if (rebalance) {
+  std::shared_ptr<const CsrMatrix> full;
+  if (rebalance || patched_csr != nullptr) {
     std::vector<const CsrMatrix*> shard_csrs(k);
     for (size_t i = 0; i < k; ++i) shard_csrs[i] = currents[i]->csr;
-    const CsrMatrix full = MergeShardCsrs(shard_csrs, rows_, cols_);
+    full = std::make_shared<const CsrMatrix>(MergeShardCsrs(shard_csrs, rows_, cols_));
+  }
+  std::shared_ptr<const ShardState> next;
+  if (rebalance) {
     auto partition =
-        std::make_shared<const GraphPartition>(PartitionCsr(full, sharding_));
+        std::make_shared<const GraphPartition>(PartitionCsr(*full, sharding_));
     next = OpenState(runtime_, std::move(partition), options_,
                      state->generation + 1);
     agg.repartitioned = true;
@@ -226,6 +230,7 @@ Status ShardedSession::ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* sta
     std::lock_guard<std::mutex> lk(state_mu_);
     state_ = std::move(next);
   }
+  if (patched_csr != nullptr) *patched_csr = std::move(full);
   if (stats != nullptr) {
     agg.version = state->generation + 1;
     agg.apply_ms = timer.ElapsedMs();
@@ -235,66 +240,74 @@ Status ShardedSession::ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* sta
   return Status::OK();
 }
 
+std::vector<Future<bool>> ShardedSession::FanOut(
+    const std::shared_ptr<const ShardState>& state, const DenseMatrix* x,
+    DenseMatrix* out, KernelProfile* profs, const ExecControls& ctl, int stream,
+    std::shared_ptr<const void> owner) {
+  std::vector<Future<bool>> futures;
+  futures.reserve(state->sessions.size());
+  for (size_t i = 0; i < state->sessions.size(); ++i) {
+    Session* session = state->sessions[i].get();
+    const ShardRange range = state->partition->ranges[i];
+    KernelProfile* prof = &profs[i];
+    futures.push_back(session->SubmitAsync(
+        [state, owner, session, range, i, x, out, prof, ctl] {
+          // Retry (inside MultiplyOn) recomputes only this shard's slice;
+          // the scatter runs once, after the slice finally succeeded.
+          DenseMatrix local;
+          HCSPMM_RETURN_NOT_OK(
+              session->MultiplyOn(ShardVersion(*state, i), *x, &local, prof, ctl));
+          return ScatterShard(local, range, out);
+        },
+        stream));
+  }
+  return futures;
+}
+
 Status ShardedSession::Multiply(const DenseMatrix& x, DenseMatrix* z,
                                 KernelProfile* profile,
                                 const ExecControls& ctl) const {
   if (z == nullptr) return Status::InvalidArgument("sharded Multiply: z is null");
   auto state = State();
-  if (state->sessions.size() == 1) {
-    return state->sessions[0]->Multiply(x, z, profile, ctl);
+  // The shard ranges tile the rows exactly once, so the output needs no zero
+  // fill: a rows x dim fp32 z that is not the input receives the rows in
+  // place; otherwise an uninitialized buffer replaces z on success.
+  DenseMatrix fresh;
+  DenseMatrix* out = z;
+  if (z == &x || z->rows() != rows() || z->cols() != x.cols() ||
+      z->precision() != FeaturePrecision::kFp32) {
+    fresh = DenseMatrix::Uninitialized(rows(), x.cols());
+    out = &fresh;
   }
 
-  // Fan out: each shard computes its rows on its own session's stream and
-  // scatters them into `out` (disjoint row blocks — no lock, no reduction);
-  // this thread just joins. Per-shard profiles land in indexed slots so the
-  // caller's profile accumulates in deterministic shard order. All shards
-  // run on the one pinned `state`, so a concurrent ApplyDeltas can never
-  // tear the fan-out across versions.
-  DenseMatrix out(rows(), x.cols());
+  // This thread just joins the shard tasks.
   std::vector<KernelProfile> profs(state->sessions.size());
-  std::vector<Future<bool>> futures;
-  futures.reserve(state->sessions.size());
-  for (size_t i = 0; i < state->sessions.size(); ++i) {
-    Session* session = state->sessions[i].get();
-    const ShardRange& range = state->partition->ranges[i];
-    KernelProfile* prof = &profs[i];
-    futures.push_back(session->SubmitAsync(
-        [state, session, range, i, &x, &out, prof, ctl] {
-          // Retry (inside MultiplyOn) recomputes only this shard's slice;
-          // the scatter runs once, after the slice finally succeeded.
-          DenseMatrix local;
-          HCSPMM_RETURN_NOT_OK(
-              session->MultiplyOn(ShardVersion(*state, i), x, &local, prof, ctl));
-          return ScatterShard(local, range, &out);
-        },
-        /*stream=*/0));
-  }
+  std::vector<Future<bool>> futures =
+      FanOut(state, &x, out, profs.data(), ctl, /*stream=*/0, /*owner=*/nullptr);
   Status first = Status::OK();
+  bool scattered = false;  // a shard task succeeds only after its scatter
   for (Future<bool>& fut : futures) {
     const Status& st = fut.status();  // blocks; also covers shard init errors
-    if (!st.ok() && first.ok()) first = st;
+    if (st.ok()) {
+      scattered = true;
+    } else if (first.ok()) {
+      first = st;
+    }
   }
-  HCSPMM_RETURN_NOT_OK(first);
+  if (!first.ok()) {
+    if (out == z && scattered) *z = DenseMatrix();  // never a partial product
+    return first;
+  }
   if (profile != nullptr) {
     for (const KernelProfile& p : profs) profile->Accumulate(p);  // shard order
   }
-  *z = std::move(out);
+  if (out != z) *z = std::move(fresh);
   return Status::OK();
 }
 
 Future<DenseMatrix> ShardedSession::MultiplyAsync(DenseMatrix x, KernelProfile* profile,
                                                   int stream, ExecControls ctl) {
   auto state = State();
-  if (state->sessions.size() == 1) {
-    Future<DenseMatrix> fut = state->sessions[0]->MultiplyAsync(
-        std::move(x), profile, stream, std::move(ctl));
-    // Same keepalive the K>1 tasks carry: the session's stream task reads
-    // the shard CSR owned by the pinned state, so hold it until the future
-    // resolves even if the caller drops its handle first.
-    fut.OnReady([self = shared_from_this(), state] {});
-    return fut;
-  }
-
   // Join state shared by every shard's stream task. The last shard to finish
   // (counted via the SubmitAsync futures, which resolve even when a shard's
   // init failed and its task never ran) folds the profiles in shard order
@@ -311,26 +324,13 @@ Future<DenseMatrix> ShardedSession::MultiplyAsync(DenseMatrix x, KernelProfile* 
   };
   auto join = std::make_shared<JoinState>();
   join->x = std::move(x);
-  join->out = DenseMatrix(rows(), join->x.cols());
+  join->out = DenseMatrix::Uninitialized(rows(), join->x.cols());
   join->profs.resize(state->sessions.size());
   join->remaining.store(static_cast<int>(state->sessions.size()));
   join->profile = profile;
 
-  // `self` and `state` ride in every task: the shard sessions read CSRs
-  // owned by the pinned state, which must outlive any pending shard work
-  // even if the caller drops its handle before the joined future resolves.
-  auto self = shared_from_this();
-  for (size_t i = 0; i < state->sessions.size(); ++i) {
-    Session* session = state->sessions[i].get();
-    const ShardRange range = state->partition->ranges[i];
-    Future<bool> fut = session->SubmitAsync(
-        [join, self, state, session, range, i, ctl] {
-          DenseMatrix local;
-          HCSPMM_RETURN_NOT_OK(session->MultiplyOn(ShardVersion(*state, i), join->x,
-                                                   &local, &join->profs[i], ctl));
-          return ScatterShard(local, range, &join->out);
-        },
-        stream);
+  for (const Future<bool>& fut :
+       FanOut(state, &join->x, &join->out, join->profs.data(), ctl, stream, join)) {
     fut.OnReady([join, fut] {
       if (!fut.status().ok()) {
         std::lock_guard<std::mutex> lk(join->mu);
@@ -352,31 +352,53 @@ Future<DenseMatrix> ShardedSession::MultiplyAsync(DenseMatrix x, KernelProfile* 
   return join->promise.future();
 }
 
-Status ShardedSession::MultiplyBatch(const std::vector<const DenseMatrix*>& xs,
-                                     std::vector<DenseMatrix>* zs,
-                                     KernelProfile* profile,
-                                     const ExecControls& ctl) const {
-  if (zs == nullptr) return Status::InvalidArgument("MultiplyBatch: zs is null");
-  for (const DenseMatrix* x : xs) {
-    if (x == nullptr) return Status::InvalidArgument("MultiplyBatch: null input");
-  }
-  if (xs.empty()) {
-    zs->clear();
-    return Status::OK();
-  }
-  // Items run sequentially, each with full cross-shard parallelism; results
-  // stay in scratch until the whole batch succeeded so *zs may alias xs and
-  // the caller's profile never sees a partial batch.
-  std::vector<DenseMatrix> results(xs.size());
-  std::vector<KernelProfile> profs(xs.size());
+Future<std::vector<DenseMatrix>> ShardedSession::MultiplyBatchAsync(
+    std::vector<DenseMatrix> xs, KernelProfile* profile, int stream, ExecControls ctl) {
+  if (xs.empty()) return MakeReadyFuture(std::vector<DenseMatrix>());
+  // Every item resolves into its slot; the last one to finish folds the
+  // profiles in batch order and fulfills the promise (first error wins, but
+  // all items are always awaited so nothing dangles).
+  struct BatchJoin {
+    std::vector<DenseMatrix> zs;
+    std::vector<KernelProfile> profs;
+    std::mutex mu;
+    Status first_error;
+    std::atomic<int64_t> remaining;
+    KernelProfile* profile;
+    Promise<std::vector<DenseMatrix>> promise;
+  };
+  auto join = std::make_shared<BatchJoin>();
+  join->zs.resize(xs.size());
+  if (profile != nullptr) join->profs.resize(xs.size());
+  join->remaining.store(static_cast<int64_t>(xs.size()));
+  join->profile = profile;
   for (size_t i = 0; i < xs.size(); ++i) {
-    HCSPMM_RETURN_NOT_OK(Multiply(*xs[i], &results[i], &profs[i], ctl));
+    // One stream per item so items overlap across each shard's FIFO lanes
+    // (Session mods the index into its stream count).
+    Future<DenseMatrix> item =
+        MultiplyAsync(std::move(xs[i]), profile != nullptr ? &join->profs[i] : nullptr,
+                      stream + static_cast<int>(i), ctl);
+    item.OnReady([join, item, i]() mutable {
+      {
+        std::lock_guard<std::mutex> lk(join->mu);
+        if (item.status().ok()) {
+          join->zs[i] = item.Take();
+        } else if (join->first_error.ok()) {
+          join->first_error = item.status();
+        }
+      }
+      if (join->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+      if (!join->first_error.ok()) {
+        join->promise.Set(join->first_error);
+        return;
+      }
+      if (join->profile != nullptr) {
+        for (const KernelProfile& p : join->profs) join->profile->Accumulate(p);
+      }
+      join->promise.Set(std::move(join->zs));
+    });
   }
-  if (profile != nullptr) {
-    for (const KernelProfile& p : profs) profile->Accumulate(p);  // batch order
-  }
-  *zs = std::move(results);
-  return Status::OK();
+  return join->promise.future();
 }
 
 }  // namespace hcspmm

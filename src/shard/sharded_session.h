@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "runtime/session.h"
+#include "runtime/spmm_backend.h"
 #include "shard/partitioner.h"
 #include "stream/delta.h"
 
@@ -31,8 +32,9 @@ namespace hcspmm {
 
 class Runtime;
 
-/// \brief K row-disjoint Sessions behind one Session-shaped multiply API.
-class ShardedSession : public std::enable_shared_from_this<ShardedSession> {
+/// \brief K row-disjoint Sessions behind one SpmmBackend.
+class ShardedSession : public SpmmBackend,
+                       public std::enable_shared_from_this<ShardedSession> {
  public:
   ShardedSession(const ShardedSession&) = delete;
   ShardedSession& operator=(const ShardedSession&) = delete;
@@ -47,7 +49,7 @@ class ShardedSession : public std::enable_shared_from_this<ShardedSession> {
                                               const ShardingOptions& sharding);
 
   /// Block until every shard finished preprocessing; first error wins.
-  Status WaitReady() const;
+  Status WaitReady() const override;
 
   /// Apply edge deltas against the sharded operator: the batch (rows in the
   /// *full* matrix coordinate space) is sliced into row-disjoint sub-batches
@@ -59,12 +61,18 @@ class ShardedSession : public std::enable_shared_from_this<ShardedSession> {
   /// content fingerprints). In-flight multiplies finish on the state they
   /// pinned. Waits for init; concurrent calls serialize. Deltas must flow
   /// through this call, not shard_session(i)->ApplyDeltas, or published
-  /// states go stale.
-  Status ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* stats = nullptr);
+  /// states go stale. `patched_csr` receives the shard CSRs concatenated
+  /// back into the full matrix (built only when asked for or repartitioning).
+  Status ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* stats = nullptr,
+                     std::shared_ptr<const CsrMatrix>* patched_csr = nullptr) override;
 
   /// z = Abar * x, synchronously: every shard is submitted to its session's
-  /// stream, computes its row slice, and scatters it into *z; the caller
-  /// blocks on the join. Appends to `profile` in shard order if non-null.
+  /// stream, computes its row slice, and scatters it into the output; the
+  /// caller blocks on the join. Appends to `profile` in shard order if
+  /// non-null. Output handling follows Session::Multiply: a rows x
+  /// x.cols() fp32 `z` receives the rows in place, any other `z` is
+  /// replaced, and `z == &x` computes into a temporary. A failure leaves `z`
+  /// as it was unless a shard already wrote into it; then `z` is emptied.
   ///
   /// ExecControls forward into each shard's Session::MultiplyOn, so retry
   /// re-dispatches *only the failed shard's row slice*: a shard scatters its
@@ -77,7 +85,7 @@ class ShardedSession : public std::enable_shared_from_this<ShardedSession> {
   /// resolves promptly (it still waits for every shard task — the output
   /// buffer is shared).
   Status Multiply(const DenseMatrix& x, DenseMatrix* z, KernelProfile* profile,
-                  const ExecControls& ctl = {}) const;
+                  const ExecControls& ctl = {}) const override;
 
   /// Async multiply returning a joined future: resolves to the full product
   /// after the last shard wrote its rows (first shard error wins). Submits
@@ -89,20 +97,22 @@ class ShardedSession : public std::enable_shared_from_this<ShardedSession> {
   /// ExecControls behave as in Multiply (shard-slice retry, deadline-aware
   /// join).
   Future<DenseMatrix> MultiplyAsync(DenseMatrix x, KernelProfile* profile = nullptr,
-                                    int stream = 0, ExecControls ctl = {});
+                                    int stream = 0, ExecControls ctl = {}) override;
 
-  /// Batched synchronous entry point (contract of Session::MultiplyBatch:
-  /// scratch results so *zs may alias the inputs, profiles accumulate in
-  /// batch order, empty batch is an OK no-op, first item error wins). Items
-  /// run one after another, each with full cross-shard parallelism.
-  Status MultiplyBatch(const std::vector<const DenseMatrix*>& xs,
-                       std::vector<DenseMatrix>* zs, KernelProfile* profile,
-                       const ExecControls& ctl = {}) const;
+  /// Async batch: item i fans out through MultiplyAsync on stream
+  /// `stream + i`, so items overlap across each shard's FIFO lanes, and the
+  /// results join into batch order (first item error wins; every item is
+  /// awaited). Each item is computed exactly like a direct Multiply, so
+  /// fp32 results are bit-identical to it. An empty batch resolves
+  /// immediately.
+  Future<std::vector<DenseMatrix>> MultiplyBatchAsync(std::vector<DenseMatrix> xs,
+                                                      KernelProfile* profile = nullptr,
+                                                      int stream = 0,
+                                                      ExecControls ctl = {}) override;
 
   int num_shards() const { return State()->partition->NumShards(); }
-  /// Current partition/ranges/sessions. Transient across ApplyDeltas (a
-  /// repartition replaces them); pin semantics live inside the multiplies.
-  const GraphPartition& partition() const { return *State()->partition; }
+  /// Current ranges/sessions. Transient across ApplyDeltas (a repartition
+  /// replaces them); pin semantics live inside the multiplies.
   const ShardRange& shard_range(int i) const { return State()->partition->ranges[i]; }
   Session* shard_session(int i) const { return State()->sessions[i].get(); }
 
@@ -111,13 +121,13 @@ class ShardedSession : public std::enable_shared_from_this<ShardedSession> {
 
   /// Summed one-time preprocessing time across shards (each shard reports 0
   /// on its own PlanCache hit). Waits for every shard.
-  double PreprocessNs() const;
+  double PreprocessNs() const override;
 
   /// True when shard i's plan came out of the PlanCache (waits).
   bool plan_from_cache(int i) const { return State()->sessions[i]->plan_from_cache(); }
 
   /// True when every shard's plan came out of the PlanCache (waits).
-  bool plan_from_cache() const {
+  bool plan_from_cache() const override {
     auto state = State();
     for (const auto& session : state->sessions) {
       if (!session->plan_from_cache()) return false;
@@ -126,14 +136,11 @@ class ShardedSession : public std::enable_shared_from_this<ShardedSession> {
   }
 
   /// Summed framework-specific auxiliary memory across shards (waits).
-  int64_t AuxMemoryBytes() const;
+  int64_t AuxMemoryBytes() const override;
 
   int32_t rows() const { return rows_; }
-  int32_t cols() const { return cols_; }
-  const std::string& kernel_name() const { return options_.kernel_name(); }
-  const DeviceSpec& device() const { return options_.device(); }
-  DataType dtype() const { return options_.dtype(); }
-  int num_threads() const { return options_.num_threads(); }
+  const DeviceSpec& device() const override { return options_.device(); }
+  DataType dtype() const override { return options_.dtype(); }
 
  private:
   /// One immutable cross-shard snapshot. `versions` pins every shard's
@@ -164,6 +171,15 @@ class ShardedSession : public std::enable_shared_from_this<ShardedSession> {
   /// The shard-i snapshot a pinned state resolves to (init must be done).
   static const PlanVersion& ShardVersion(const ShardState& state, size_t i);
 
+  /// Submit shard i's slice of *out = Abar * *x to `stream` of its session:
+  /// it scatters its rows (disjoint blocks — no lock, no reduction) into *out
+  /// and its cost into profs[i]. Every task pins `state`, so a concurrent
+  /// ApplyDeltas never tears a fan-out, and `owner` (what owns x/out/profs).
+  static std::vector<Future<bool>> FanOut(const std::shared_ptr<const ShardState>& state,
+                                          const DenseMatrix* x, DenseMatrix* out,
+                                          KernelProfile* profs, const ExecControls& ctl,
+                                          int stream, std::shared_ptr<const void> owner);
+
   SessionOptions options_;
   ShardingOptions sharding_;
   Runtime* runtime_;
@@ -175,62 +191,6 @@ class ShardedSession : public std::enable_shared_from_this<ShardedSession> {
 
   // Serializes ApplyDeltas (read-modify-write on state_).
   std::mutex apply_mu_;
-};
-
-/// \brief Non-owning handle to either a Session or a ShardedSession
-/// (exactly one non-null) — the aggregation backend the GNN models and the
-/// trainer program against, so a shard count threads through them without
-/// duplicating every call site.
-class AggregatorRef {
- public:
-  AggregatorRef(Session* session)  // NOLINT: implicit by design
-      : session_(session) {}
-  AggregatorRef(ShardedSession* sharded)  // NOLINT: implicit by design
-      : sharded_(sharded) {}
-
-  Status Multiply(const DenseMatrix& x, DenseMatrix* z, KernelProfile* profile) const {
-    return session_ != nullptr ? session_->Multiply(x, z, profile)
-                               : sharded_->Multiply(x, z, profile);
-  }
-  Future<DenseMatrix> MultiplyAsync(DenseMatrix x, KernelProfile* profile = nullptr,
-                                    int stream = 0) const {
-    return session_ != nullptr ? session_->MultiplyAsync(std::move(x), profile, stream)
-                               : sharded_->MultiplyAsync(std::move(x), profile, stream);
-  }
-  Status MultiplyBatch(const std::vector<const DenseMatrix*>& xs,
-                       std::vector<DenseMatrix>* zs, KernelProfile* profile) const {
-    return session_ != nullptr ? session_->MultiplyBatch(xs, zs, profile)
-                               : sharded_->MultiplyBatch(xs, zs, profile);
-  }
-  double PreprocessNs() const {
-    return session_ != nullptr ? session_->PreprocessNs() : sharded_->PreprocessNs();
-  }
-  bool plan_from_cache() const {
-    return session_ != nullptr ? session_->plan_from_cache()
-                               : sharded_->plan_from_cache();
-  }
-  int64_t AuxMemoryBytes() const {
-    return session_ != nullptr ? session_->AuxMemoryBytes() : sharded_->AuxMemoryBytes();
-  }
-  const std::string& kernel_name() const {
-    return session_ != nullptr ? session_->kernel_name() : sharded_->kernel_name();
-  }
-  const DeviceSpec& device() const {
-    return session_ != nullptr ? session_->device() : sharded_->device();
-  }
-  DataType dtype() const {
-    return session_ != nullptr ? session_->dtype() : sharded_->dtype();
-  }
-  int num_threads() const {
-    return session_ != nullptr ? session_->num_threads() : sharded_->num_threads();
-  }
-
-  Session* session() const { return session_; }
-  ShardedSession* sharded() const { return sharded_; }
-
- private:
-  Session* session_ = nullptr;
-  ShardedSession* sharded_ = nullptr;
 };
 
 }  // namespace hcspmm

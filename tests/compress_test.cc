@@ -397,11 +397,7 @@ TEST(CompressPlanCacheTest, KeyFieldsNeverAlias) {
   PlanCacheKey plain = MakePlanCacheKey(m, Rtx3090(), DataType::kFp32);
   PlanCacheKey packed = plain;
   packed.index_storage = 1;
-  PlanCacheKey fp16 = plain;
-  fp16.feature_precision = static_cast<uint8_t>(FeaturePrecision::kFp16);
   EXPECT_FALSE(plain == packed);
-  EXPECT_FALSE(plain == fp16);
-  EXPECT_FALSE(packed == fp16);
 
   auto plan = Preprocess(m, Rtx3090(), DefaultSelectorModel());
   ASSERT_TRUE(plan.ok());
@@ -411,7 +407,17 @@ TEST(CompressPlanCacheTest, KeyFieldsNeverAlias) {
   cache.Insert(plain, shared);
   EXPECT_NE(cache.Lookup(plain), nullptr);
   EXPECT_EQ(cache.Lookup(packed), nullptr);
-  EXPECT_EQ(cache.Lookup(fp16), nullptr);
+
+  // The plan does not depend on the feature precision, so a bf16-feature
+  // session reuses the plan an fp32 session built for the same matrix.
+  Runtime runtime;  // isolated cache
+  auto fp32 = runtime.OpenSession(&m, Fp32Options());
+  ASSERT_TRUE(fp32->WaitReady().ok());
+  EXPECT_FALSE(fp32->plan_from_cache());
+  auto bf16 = runtime.OpenSession(
+      &m, Fp32Options().set_feature_precision(FeaturePrecision::kBf16));
+  ASSERT_TRUE(bf16->WaitReady().ok());
+  EXPECT_TRUE(bf16->plan_from_cache());
 }
 
 TEST(CompressPlanCacheTest, SessionsShareOnlyMatchingStorageEncodings) {

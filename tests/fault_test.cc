@@ -355,6 +355,38 @@ TEST(ChaosMatrixTest, AllConfigurationsSurviveFaultsBitIdentically) {
   }
 }
 
+TEST(ShardedFaultTest, FailedShardNeverLeavesPartialProductInReusedOutput) {
+  // Half the shard dispatches fail and nothing retries, so most failed
+  // multiplies lose some shards after the others wrote their rows in place.
+  Runtime rt;
+  const CsrMatrix abar = FaultMatrix(23);
+  const DenseMatrix x = Payload(abar.cols(), 8, 24);
+  DenseMatrix clean;
+  ASSERT_TRUE(rt.OpenSession(&abar, Fp32())->Multiply(x, &clean, nullptr).ok());
+  ShardingOptions sharding;
+  sharding.num_shards = 4;
+  auto sharded = ShardedSession::Open(
+      &rt, abar, Fp32().set_fault_injector(MakeInjector(0.5)), sharding);
+  const DenseMatrix nan_z(abar.rows(), x.cols(), std::numeric_limits<float>::quiet_NaN());
+  int emptied = 0;
+  for (int i = 0; i < 16; ++i) {
+    DenseMatrix z = nan_z;
+    Status st = sharded->Multiply(x, &z, nullptr);
+    if (st.ok()) {
+      EXPECT_TRUE(BitIdentical(clean, z));
+      continue;
+    }
+    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
+    // No shard wrote (z as it was) or some did (z emptied); never a mix.
+    if (z.rows() == 0 && z.cols() == 0) {
+      ++emptied;
+    } else {
+      EXPECT_TRUE(BitIdentical(nan_z, z));
+    }
+  }
+  EXPECT_GT(emptied, 0);
+}
+
 // ---------------------------------------------------------------------------
 // WfqScheduler graph gating and removal (breaker building blocks)
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 
 #include "gnn/dense_ops.h"
 #include "gnn/fused.h"
@@ -8,6 +10,7 @@
 #include "gnn/gin.h"
 #include "gnn/trainer.h"
 #include "graph/generators.h"
+#include "runtime/runtime.h"
 #include "sparse/generate.h"
 #include "sparse/reference.h"
 #include "util/random.h"
@@ -24,6 +27,13 @@ Graph TestGraph(int n = 200, uint64_t seed = 11) {
   for (int32_t v = 0; v < g.num_vertices; ++v) g.labels[v] = (v / 20) % 4;
   AttachSyntheticFeatures(&g, &rng);
   return g;
+}
+
+// A session on the default runtime, bound to `abar`.
+std::shared_ptr<Session> OpenSession(const std::string& kernel, const CsrMatrix* abar,
+                                     DataType dtype) {
+  return Runtime::Default()->OpenSession(
+      abar, SessionOptions().set_kernel(kernel).set_device(Rtx3090()).set_dtype(dtype));
 }
 
 TEST(DenseOpsTest, SoftmaxRowsSumToOne) {
@@ -137,9 +147,9 @@ TEST(FusionTest, ApplyFusionNeverGoesNegative) {
 TEST(GcnTest, ForwardShapesAndDeterminism) {
   Graph g = TestGraph();
   CsrMatrix abar = GcnNormalized(g.adjacency);
-  SpmmEngine engine("hcspmm", &abar, Rtx3090(), DataType::kFp32);
+  auto engine = OpenSession("hcspmm", &abar, DataType::kFp32);
   GnnConfig cfg;
-  GcnModel model(&g, cfg, &engine);
+  GcnModel model(&g, cfg, engine.get());
   PhaseBreakdown t;
   DenseMatrix logits1 = model.Forward(&t);
   EXPECT_EQ(logits1.rows(), g.num_vertices);
@@ -172,11 +182,11 @@ TEST(GcnTest, GcnNormalizationRowsBounded) {
 TEST(GcnTest, WeightGradientMatchesFiniteDifference) {
   Graph g = TestGraph(60, 21);
   CsrMatrix abar = GcnNormalized(g.adjacency);
-  SpmmEngine engine("cuda_opt", &abar, Rtx3090(), DataType::kFp32);
+  auto engine = OpenSession("cuda_opt", &abar, DataType::kFp32);
   GnnConfig cfg;
   cfg.hidden_dim = 6;
   cfg.learning_rate = 0.0;  // keep weights frozen during Backward's SGD
-  GcnModel model(&g, cfg, &engine);
+  GcnModel model(&g, cfg, engine.get());
 
   // Analytic gradient via a probe: re-run backward with lr>0 and compare
   // the SGD delta against finite differences of the loss.
@@ -187,7 +197,7 @@ TEST(GcnTest, WeightGradientMatchesFiniteDifference) {
 
   GnnConfig cfg2 = cfg;
   cfg2.learning_rate = 1.0;  // delta = -grad exactly
-  GcnModel probe(&g, cfg2, &engine);
+  GcnModel probe(&g, cfg2, engine.get());
   DenseMatrix before = probe.weights()[1];
   DenseMatrix logits = probe.Forward(nullptr);
   DenseMatrix grad;
@@ -200,7 +210,7 @@ TEST(GcnTest, WeightGradientMatchesFiniteDifference) {
     for (int32_t c = 0; c < 2; ++c) {
       const double analytic = before.At(r, c) - after.At(r, c);  // lr * dW
       // Same seed -> same initial weights as `probe` had before Backward.
-      GcnModel m2(&g, cfg, &engine);
+      GcnModel m2(&g, cfg, engine.get());
       m2.mutable_weights()[1] = before;
       // Perturb.
       m2.mutable_weights()[1].At(r, c) += eps;
@@ -216,10 +226,10 @@ TEST(GcnTest, WeightGradientMatchesFiniteDifference) {
 TEST(GcnTest, LossDecreasesOverTraining) {
   Graph g = TestGraph(300, 31);
   CsrMatrix abar = GcnNormalized(g.adjacency);
-  SpmmEngine engine("hcspmm", &abar, Rtx3090(), DataType::kTf32);
+  auto engine = OpenSession("hcspmm", &abar, DataType::kTf32);
   GnnConfig cfg;
   cfg.learning_rate = 0.3;
-  GcnModel model(&g, cfg, &engine);
+  GcnModel model(&g, cfg, engine.get());
   double first = 0, last = 0;
   for (int e = 0; e < 60; ++e) {
     EpochResult r = model.TrainEpoch();
@@ -247,9 +257,9 @@ TEST(GcnTest, FusionPreservesResultsAndSavesTime) {
 TEST(GinTest, ForwardShapes) {
   Graph g = TestGraph();
   CsrMatrix ahat = GinOperator(g.adjacency);
-  SpmmEngine engine("hcspmm", &ahat, Rtx3090(), DataType::kFp32);
+  auto engine = OpenSession("hcspmm", &ahat, DataType::kFp32);
   GnnConfig cfg;
-  GinModel model(&g, cfg, &engine);
+  GinModel model(&g, cfg, engine.get());
   PhaseBreakdown t;
   DenseMatrix logits = model.Forward(&t);
   EXPECT_EQ(logits.rows(), g.num_vertices);

@@ -100,7 +100,7 @@ TEST(KernelTest, ShapeMismatchRejected) {
   Pcg32 rng(1);
   CsrMatrix a = GenerateUniformSparse(10, 12, 0.2, &rng);
   DenseMatrix x(13, 8);  // wrong inner dim
-  for (const std::string& name : KernelNames()) {
+  for (const std::string& name : RegisteredKernelNames()) {
     auto kernel = MakeKernel(name);
     DenseMatrix z;
     KernelProfile prof;
@@ -111,7 +111,7 @@ TEST(KernelTest, ShapeMismatchRejected) {
 }
 
 TEST(KernelTest, RegistryKnowsAllKernels) {
-  for (const std::string& name : KernelNames()) {
+  for (const std::string& name : RegisteredKernelNames()) {
     auto kernel = MakeKernel(name);
     ASSERT_NE(kernel, nullptr) << name;
     EXPECT_EQ(kernel->name(), name);
@@ -122,7 +122,6 @@ TEST(KernelTest, RegistryKnowsAllKernels) {
 TEST(KernelTest, RegisteredKernelNamesMatchesRegistry) {
   const std::vector<std::string>& names = RegisteredKernelNames();
   EXPECT_FALSE(names.empty());
-  EXPECT_EQ(names, KernelNames());
   for (const std::string& name : names) {
     EXPECT_NE(MakeKernel(name), nullptr) << name;
   }
@@ -136,7 +135,7 @@ TEST(KernelTest, EmptyMatrixProducesZeros) {
   CsrMatrix a = CooToCsr(coo);
   Pcg32 rng(2);
   DenseMatrix x = GenerateDense(32, 16, &rng);
-  for (const std::string& name : KernelNames()) {
+  for (const std::string& name : RegisteredKernelNames()) {
     auto kernel = MakeKernel(name);
     std::vector<DenseMatrix> outputs = UsedOutputs(a.rows(), x.cols());
     outputs.emplace_back();
@@ -164,7 +163,7 @@ TEST(KernelTest, MatrixWithEmptyRowsAndDenseRows) {
   for (DataType dtype : {DataType::kFp32, DataType::kTf32}) {
     KernelOptions opts;
     opts.dtype = dtype;
-    for (const std::string& name : KernelNames()) {
+    for (const std::string& name : RegisteredKernelNames()) {
       auto kernel = MakeKernel(name);
       DenseMatrix fresh;
       KernelProfile prof;
@@ -188,7 +187,7 @@ TEST(KernelTest, OutputAliasingInputRejected) {
   Pcg32 rng(6);
   CsrMatrix a = GenerateUniformSparse(40, 40, 0.1, &rng);
   const DenseMatrix x0 = GenerateDense(40, 40, &rng);
-  for (const std::string& name : KernelNames()) {
+  for (const std::string& name : RegisteredKernelNames()) {
     auto kernel = MakeKernel(name);
     DenseMatrix x = x0;
     Status st = kernel->Run(a, x, Rtx3090(), KernelOptions{}, &x, nullptr);

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -16,10 +17,10 @@
 
 #include "gnn/gcn.h"
 #include "gnn/gin.h"
-#include "gnn/spmm_engine.h"
 #include "gnn/trainer.h"
 #include "graph/generators.h"
 #include "runtime/runtime.h"
+#include "shard/sharded_session.h"
 #include "sparse/generate.h"
 #include "sparse/reference.h"
 #include "util/random.h"
@@ -195,6 +196,7 @@ TEST(RuntimeTest, OpenSessionUnknownKernelSurfacesErrorEverywhere) {
   Future<DenseMatrix> fut = session->MultiplyAsync(x);
   EXPECT_FALSE(fut.ok());
   EXPECT_EQ(fut.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(session->MultiplyBatchAsync({x}).ok());
 }
 
 TEST(RuntimeTest, SecondSessionHitsPlanCacheWithoutRebuilding) {
@@ -223,8 +225,9 @@ TEST(RuntimeTest, FirstMultiplyWaitsOnAsyncPreprocessing) {
   Future<DenseMatrix> fut = session->MultiplyAsync(x);
   ASSERT_TRUE(fut.ok());
   DenseMatrix expected;
-  SpmmEngine engine("hcspmm", &m, Rtx3090(), DataType::kTf32, /*num_threads=*/1);
-  ASSERT_TRUE(engine.Multiply(x, &expected, nullptr).ok());
+  auto engine = Runtime::Default()->OpenSession(
+      &m, SessionOptions().set_dtype(DataType::kTf32).set_num_threads(1));
+  ASSERT_TRUE(engine->Multiply(x, &expected, nullptr).ok());
   EXPECT_EQ(fut.Get().MaxAbsDifference(expected), 0.0);
 }
 
@@ -237,9 +240,10 @@ TEST(SessionDeterminismTest, AsyncMatchesSerialEngineAtMultipleThreadCounts) {
   Pcg32 rng(9);
   DenseMatrix x = GenerateDense(m.cols(), 32, &rng);
 
-  SpmmEngine serial("hcspmm", &m, Rtx3090(), DataType::kFp32, /*num_threads=*/1);
+  auto serial = Runtime::Default()->OpenSession(
+      &m, SessionOptions().set_dtype(DataType::kFp32).set_num_threads(1));
   DenseMatrix expected;
-  ASSERT_TRUE(serial.Multiply(x, &expected, nullptr).ok());
+  ASSERT_TRUE(serial->Multiply(x, &expected, nullptr).ok());
 
   for (int threads : {1, 4, 8}) {
     auto session = Runtime::Default()->OpenSession(
@@ -284,25 +288,48 @@ TEST(SessionOutputTest, InPlaceAndReusedOutputsMatchFreshOutput) {
   ASSERT_TRUE(session->Multiply(x0, &fresh0, nullptr).ok());
   ASSERT_TRUE(session->Multiply(x1, &fresh1, nullptr).ok());
 
-  // z == &x: the product replaces the input, as if computed out of place,
-  // and a failed attempt leaves the input as it was.
-  DenseMatrix y = x0;
+  // The sharded backend keeps the same output contract, bit for bit.
+  std::vector<std::shared_ptr<SpmmBackend>> backends = {session};
+  for (int k : {2, 4, 7}) {
+    ShardingOptions sharding;
+    sharding.num_shards = k;
+    backends.push_back(
+        ShardedSession::Open(Runtime::Default(), abar, SessionOptions(), sharding));
+  }
   ExecControls cancelled;
   cancelled.cancel = std::make_shared<CancelToken>();
   cancelled.cancel->RequestCancel();
-  EXPECT_TRUE(session->Multiply(y, &y, nullptr, cancelled).IsDeadlineExceeded());
-  EXPECT_TRUE(same_bits(x0, y));
-  ASSERT_TRUE(session->Multiply(y, &y, nullptr).ok());
-  EXPECT_TRUE(same_bits(fresh0, y));
+  for (size_t b = 0; b < backends.size(); ++b) {
+    SCOPED_TRACE("backend " + std::to_string(b));
+    SpmmBackend* backend = backends[b].get();
 
-  // One z reused across multiplies with different inputs (the closed-loop
-  // caller's pattern) is overwritten each time.
-  DenseMatrix z;
-  for (int round = 0; round < 2; ++round) {
-    ASSERT_TRUE(session->Multiply(x0, &z, nullptr).ok());
-    EXPECT_TRUE(same_bits(fresh0, z)) << "round " << round;
-    ASSERT_TRUE(session->Multiply(x1, &z, nullptr).ok());
-    EXPECT_TRUE(same_bits(fresh1, z)) << "round " << round;
+    // z == &x: the product replaces the input, as if computed out of place,
+    // and a failed attempt leaves the input as it was.
+    DenseMatrix y = x0;
+    EXPECT_TRUE(backend->Multiply(y, &y, nullptr, cancelled).IsDeadlineExceeded());
+    EXPECT_TRUE(same_bits(x0, y));
+    ASSERT_TRUE(backend->Multiply(y, &y, nullptr).ok());
+    EXPECT_TRUE(same_bits(fresh0, y));
+
+    // One z reused across multiplies with different inputs (the closed-loop
+    // caller's pattern) is overwritten each time.
+    DenseMatrix z;
+    for (int round = 0; round < 2; ++round) {
+      ASSERT_TRUE(backend->Multiply(x0, &z, nullptr).ok());
+      EXPECT_TRUE(same_bits(fresh0, z)) << "round " << round;
+      ASSERT_TRUE(backend->Multiply(x1, &z, nullptr).ok());
+      EXPECT_TRUE(same_bits(fresh1, z)) << "round " << round;
+    }
+
+    // A correctly shaped z full of NaN: a cancelled call leaves it as it
+    // was, a successful one overwrites every element.
+    const DenseMatrix nan_z(abar.rows(), x1.cols(),
+                            std::numeric_limits<float>::quiet_NaN());
+    DenseMatrix reused = nan_z;
+    EXPECT_TRUE(backend->Multiply(x1, &reused, nullptr, cancelled).IsDeadlineExceeded());
+    EXPECT_TRUE(same_bits(nan_z, reused));
+    ASSERT_TRUE(backend->Multiply(x1, &reused, nullptr).ok());
+    EXPECT_TRUE(same_bits(fresh1, reused));
   }
 }
 
@@ -362,15 +389,20 @@ TEST(SessionBatchTest, MultiplyBatchAsyncMatchesIndividualMultiplies) {
   std::vector<DenseMatrix> inputs;
   for (int i = 0; i < 5; ++i) inputs.push_back(GenerateDense(m.cols(), 8 + 4 * i, &rng));
 
-  Future<std::vector<DenseMatrix>> fut = session->MultiplyBatchAsync(inputs);
+  KernelProfile batch_profile, individual_profile;
+  Future<std::vector<DenseMatrix>> fut =
+      session->MultiplyBatchAsync(inputs, &batch_profile);
   ASSERT_TRUE(fut.ok()) << fut.status().ToString();
   const std::vector<DenseMatrix>& zs = fut.Get();
   ASSERT_EQ(zs.size(), inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
     DenseMatrix expected;
-    ASSERT_TRUE(session->Multiply(inputs[i], &expected, nullptr).ok());
+    ASSERT_TRUE(session->Multiply(inputs[i], &expected, &individual_profile).ok());
     EXPECT_EQ(zs[i].MaxAbsDifference(expected), 0.0) << "batch item " << i;
   }
+  // Metering is deterministic: the batch profile equals the serial sum.
+  EXPECT_DOUBLE_EQ(batch_profile.time_ns, individual_profile.time_ns);
+  EXPECT_EQ(batch_profile.launches, individual_profile.launches);
 }
 
 TEST(SessionBatchTest, EmptyBatchResolvesImmediatelyWithoutDispatch) {
@@ -392,15 +424,6 @@ TEST(SessionBatchTest, EmptyBatchResolvesImmediatelyWithoutDispatch) {
   Future<std::vector<DenseMatrix>> err = broken->MultiplyBatchAsync({});
   EXPECT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), StatusCode::kInvalidArgument);
-
-  // The synchronous paths share the fast path.
-  std::vector<DenseMatrix> zs(3);
-  ASSERT_TRUE(session->MultiplyBatch({}, &zs, nullptr).ok());
-  EXPECT_TRUE(zs.empty());
-  SpmmEngine engine("cuda_basic", &m, Rtx3090(), DataType::kTf32);
-  std::vector<DenseMatrix> zs2(2);
-  ASSERT_TRUE(engine.MultiplyBatch({}, &zs2, nullptr).ok());
-  EXPECT_TRUE(zs2.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -86,11 +86,12 @@ TEST(SessionPoolTest, HandleMatchesSessionContentFingerprint) {
   Runtime rt;
   SessionPool pool(&rt, PoolOptions(2));
   const uint64_t handle = pool.RegisterGraph(ServeMatrix(5));
-  Result<PooledSession> ps = pool.Acquire(handle);
+  Result<std::shared_ptr<SpmmBackend>> ps = pool.Acquire(handle);
   ASSERT_TRUE(ps.ok());
-  ASSERT_TRUE(ps.ValueOrDie().WaitReady().ok());
+  ASSERT_TRUE(ps.ValueOrDie()->WaitReady().ok());
   // The pool's admission key is exactly the runtime's plan fingerprint.
-  EXPECT_EQ(ps.ValueOrDie().ref().session()->content_fingerprint(), handle);
+  EXPECT_EQ(std::dynamic_pointer_cast<Session>(ps.ValueOrDie())->content_fingerprint(),
+            handle);
 }
 
 TEST(SessionPoolTest, AcquireOpensLazilyAndLruEvicts) {
@@ -132,26 +133,26 @@ TEST(SessionPoolTest, ReopenAfterEvictionHitsPlanCache) {
   const uint64_t h1 = pool.RegisterGraph(ServeMatrix(21));
   const uint64_t h2 = pool.RegisterGraph(ServeMatrix(22));
 
-  Result<PooledSession> first = pool.Acquire(h1);
+  Result<std::shared_ptr<SpmmBackend>> first = pool.Acquire(h1);
   ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(first.ValueOrDie().WaitReady().ok());
-  EXPECT_FALSE(first.ValueOrDie().ref().plan_from_cache());
+  ASSERT_TRUE(first.ValueOrDie()->WaitReady().ok());
+  EXPECT_FALSE(first.ValueOrDie()->plan_from_cache());
 
   ASSERT_TRUE(pool.Acquire(h2).ok());  // budget 1: evicts h1's session
   EXPECT_EQ(pool.stats().evicted, 1);
 
   // Second binding of the same graph content: the session is rebuilt but
   // its plan comes straight out of the PlanCache under the same fingerprint.
-  Result<PooledSession> again = pool.Acquire(h1);
+  Result<std::shared_ptr<SpmmBackend>> again = pool.Acquire(h1);
   ASSERT_TRUE(again.ok());
-  ASSERT_TRUE(again.ValueOrDie().WaitReady().ok());
-  EXPECT_TRUE(again.ValueOrDie().ref().plan_from_cache());
+  ASSERT_TRUE(again.ValueOrDie()->WaitReady().ok());
+  EXPECT_TRUE(again.ValueOrDie()->plan_from_cache());
 }
 
 TEST(SessionPoolTest, UnknownHandleIsInvalidArgument) {
   Runtime rt;
   SessionPool pool(&rt, PoolOptions(2));
-  Result<PooledSession> r = pool.Acquire(123456789);
+  Result<std::shared_ptr<SpmmBackend>> r = pool.Acquire(123456789);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -161,14 +162,14 @@ TEST(SessionPoolTest, EvictedSessionStaysUsableByHolders) {
   SessionPool pool(&rt, PoolOptions(1));
   const uint64_t h1 = pool.RegisterGraph(ServeMatrix(31));
   const uint64_t h2 = pool.RegisterGraph(ServeMatrix(32));
-  Result<PooledSession> held = pool.Acquire(h1);
+  Result<std::shared_ptr<SpmmBackend>> held = pool.Acquire(h1);
   ASSERT_TRUE(held.ok());
   ASSERT_TRUE(pool.Acquire(h2).ok());  // evicts h1 from the pool
   EXPECT_TRUE(pool.Evict(h1) == false);  // already gone
   // The held handle keeps the backend (and the pooled CSR) alive.
   DenseMatrix x = Payload(256, 16, 7);
   Future<std::vector<DenseMatrix>> f =
-      held.ValueOrDie().MultiplyBatchAsync({std::move(x)});
+      held.ValueOrDie()->MultiplyBatchAsync({std::move(x)});
   ASSERT_TRUE(f.status().ok());
   EXPECT_EQ(f.Get().size(), 1u);
 }
@@ -179,7 +180,7 @@ TEST(SessionPoolTest, ShardedBackendBatchBitIdenticalToDirect) {
   CsrMatrix reference = abar;
   SessionPool pool(&rt, PoolOptions(2, /*num_shards=*/3));
   const uint64_t handle = pool.RegisterGraph(std::move(abar));
-  Result<PooledSession> ps = pool.Acquire(handle);
+  Result<std::shared_ptr<SpmmBackend>> ps = pool.Acquire(handle);
   ASSERT_TRUE(ps.ok());
 
   std::vector<DenseMatrix> xs;
@@ -188,7 +189,7 @@ TEST(SessionPoolTest, ShardedBackendBatchBitIdenticalToDirect) {
   for (const DenseMatrix& x : xs) expected.push_back(Direct(&rt, reference, x));
 
   Future<std::vector<DenseMatrix>> f =
-      ps.ValueOrDie().MultiplyBatchAsync(std::move(xs));
+      ps.ValueOrDie()->MultiplyBatchAsync(std::move(xs));
   ASSERT_TRUE(f.status().ok());
   const std::vector<DenseMatrix>& zs = f.Get();
   ASSERT_EQ(zs.size(), expected.size());

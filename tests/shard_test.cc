@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "exec/plan_cache.h"
-#include "gnn/spmm_engine.h"
 #include "gnn/trainer.h"
 #include "graph/generators.h"
 #include "runtime/runtime.h"
@@ -254,21 +253,25 @@ TEST(ShardedSessionTest, MultiplyBatchMatchesPerItemMultiplies) {
   auto sharded = ShardedSession::Open(Runtime::Default(), m, Fp32Options(), Shards(3));
   Pcg32 rng(77);
   std::vector<DenseMatrix> inputs;
-  std::vector<const DenseMatrix*> xs;
   for (int i = 0; i < 5; ++i) inputs.push_back(GenerateDense(m.cols(), 8, &rng));
-  for (const DenseMatrix& x : inputs) xs.push_back(&x);
-  std::vector<DenseMatrix> zs;
-  ASSERT_TRUE(sharded->MultiplyBatch(xs, &zs, nullptr).ok());
-  ASSERT_EQ(zs.size(), xs.size());
-  for (size_t i = 0; i < xs.size(); ++i) {
+  KernelProfile batch_prof;
+  Future<std::vector<DenseMatrix>> batch =
+      sharded->MultiplyBatchAsync(inputs, &batch_prof);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const std::vector<DenseMatrix>& zs = batch.Get();
+  ASSERT_EQ(zs.size(), inputs.size());
+  KernelProfile item_prof;
+  for (size_t i = 0; i < inputs.size(); ++i) {
     DenseMatrix z;
-    ASSERT_TRUE(sharded->Multiply(*xs[i], &z, nullptr).ok());
+    ASSERT_TRUE(sharded->Multiply(inputs[i], &z, &item_prof).ok());
     EXPECT_EQ(zs[i].MaxAbsDifference(z), 0.0);
   }
+  // Profiles fold in batch order, so the metered cost matches item by item.
+  EXPECT_EQ(batch_prof.time_ns, item_prof.time_ns);
   // Empty batch is an OK no-op.
-  std::vector<DenseMatrix> empty_out(1);
-  ASSERT_TRUE(sharded->MultiplyBatch({}, &empty_out, nullptr).ok());
-  EXPECT_TRUE(empty_out.empty());
+  Future<std::vector<DenseMatrix>> empty = sharded->MultiplyBatchAsync({});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty.Get().empty());
 }
 
 TEST(ShardedSessionTest, UnknownKernelSurfacesThroughEveryPath) {
@@ -329,7 +332,7 @@ TEST(ShardedSessionTest, DroppingTheHandleWithWorkInFlightIsSafe) {
   const DenseMatrix x = GenerateDense(m.cols(), 8, &rng);
   const DenseMatrix z_ref = ReferenceSpmm(m, x);
 
-  // K > 1 and the K==1 fast path exercise different keepalives.
+  // K = 1 runs the same fan-out as K > 1; both must pin the shards.
   for (int k : {1, 3}) {
     SCOPED_TRACE("K=" + std::to_string(k));
     // Drop right after Open, before init ever resolves.
@@ -378,33 +381,29 @@ TEST(ShardedSessionTest, ConcurrentMultipliesFromManyThreadsAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine + GNN wiring
+// Backend + GNN wiring
 
 TEST(ShardedEngineTest, EngineShardParameterIsBitIdentical) {
   const CsrMatrix m = TestMatrix(71, 300, 0.05);
-  SpmmEngine plain("hcspmm", &m, Rtx3090(), DataType::kFp32);
-  ASSERT_TRUE(plain.status().ok());
-  EXPECT_EQ(plain.num_shards(), 1);
-  EXPECT_NE(plain.session(), nullptr);
+  std::shared_ptr<SpmmBackend> plain = Runtime::Default()->OpenSession(&m, Fp32Options());
+  ASSERT_TRUE(plain->WaitReady().ok());
 
-  SpmmEngine sharded("hcspmm", &m, Rtx3090(), DataType::kFp32, /*num_threads=*/0,
-                     /*num_shards=*/4);
-  ASSERT_TRUE(sharded.status().ok());
-  EXPECT_EQ(sharded.num_shards(), 4);
-  EXPECT_EQ(sharded.session(), nullptr);
-  ASSERT_NE(sharded.sharded_session(), nullptr);
-  EXPECT_NE(sharded.plan(), nullptr);  // shard 0's plan
+  auto sharded = ShardedSession::Open(Runtime::Default(), m, Fp32Options(), Shards(4));
+  ASSERT_TRUE(sharded->WaitReady().ok());
+  EXPECT_EQ(sharded->num_shards(), 4);
+  EXPECT_NE(sharded->shard_session(0)->plan(), nullptr);
 
   Pcg32 rng(1);
   DenseMatrix x = GenerateDense(m.cols(), 16, &rng);
   DenseMatrix z_plain, z_sharded;
-  ASSERT_TRUE(plain.Multiply(x, &z_plain, nullptr).ok());
-  ASSERT_TRUE(sharded.Multiply(x, &z_sharded, nullptr).ok());
+  ASSERT_TRUE(plain->Multiply(x, &z_plain, nullptr).ok());
+  ASSERT_TRUE(sharded->Multiply(x, &z_sharded, nullptr).ok());
   EXPECT_EQ(z_sharded.MaxAbsDifference(z_plain), 0.0);
-  EXPECT_GT(sharded.AuxMemoryBytes(), 0);
+  EXPECT_GT(sharded->AuxMemoryBytes(), 0);
 
-  SpmmEngine bogus("nope", &m, Rtx3090(), DataType::kFp32, 0, /*num_shards=*/3);
-  EXPECT_EQ(bogus.status().code(), StatusCode::kInvalidArgument);
+  auto bogus = ShardedSession::Open(Runtime::Default(), m,
+                                    Fp32Options().set_kernel("nope"), Shards(3));
+  EXPECT_EQ(bogus->WaitReady().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ShardedGnnTest, TrainingIsIdenticalForEveryShardCount) {

@@ -670,68 +670,79 @@ TEST(ShardedStreamTest, InapplicableBatchLeavesEveryShardUntouched) {
 // SessionPool + Server streaming admission
 
 TEST(PoolStreamTest, ApplyDeltasRekeysResidentAndNonResidentEntries) {
-  Runtime rt;
-  SessionPoolOptions opts;
-  opts.max_sessions = 4;
-  opts.session = Fp32();
-  SessionPool pool(&rt, opts);
+  // A plain Session and a sharded backend (K = 3) behind the pool.
+  for (int shards : {1, 3}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    Runtime rt;
+    SessionPoolOptions opts;
+    opts.max_sessions = 4;
+    opts.session = Fp32();
+    opts.num_shards = shards;
+    SessionPool pool(&rt, opts);
 
-  const CsrMatrix base = StreamMatrix(41, 200, 0.05);
-  Pcg32 x_rng(8);
-  const DenseMatrix x = GenerateDense(base.cols(), 8, &x_rng);
-  EdgeMap map = ToEdgeMap(base);
-  Pcg32 rng(61);
-  const DeltaBatch batch = RandomBatch(map, base.rows(), base.cols(), 30, &rng);
-  ApplyToMap(&map, batch);
-  const CsrMatrix rebuilt = FromEdgeMap(map, base.rows(), base.cols());
-  DenseMatrix z_expect;
-  {
-    auto direct = rt.OpenSession(&rebuilt, Fp32());
-    ASSERT_TRUE(direct->Multiply(x, &z_expect, nullptr).ok());
+    const CsrMatrix base = StreamMatrix(41, 200, 0.05);
+    Pcg32 x_rng(8);
+    const DenseMatrix x = GenerateDense(base.cols(), 8, &x_rng);
+    EdgeMap map = ToEdgeMap(base);
+    Pcg32 rng(61);
+    const DeltaBatch batch = RandomBatch(map, base.rows(), base.cols(), 30, &rng);
+    ApplyToMap(&map, batch);
+    const CsrMatrix rebuilt = FromEdgeMap(map, base.rows(), base.cols());
+    DenseMatrix z_expect;
+    {
+      auto direct = rt.OpenSession(&rebuilt, Fp32());
+      ASSERT_TRUE(direct->Multiply(x, &z_expect, nullptr).ok());
+    }
+
+    // Resident path: the open session is patched in place.
+    {
+      CsrMatrix copy = base;
+      const uint64_t handle = pool.RegisterGraph(std::move(copy));
+      auto acquired = pool.Acquire(handle);
+      ASSERT_TRUE(acquired.ok());
+      ASSERT_TRUE(acquired.ValueOrDie()->WaitReady().ok());
+      DeltaApplyStats stats;
+      auto rekeyed = pool.ApplyDeltas(handle, batch, &stats);
+      ASSERT_TRUE(rekeyed.ok()) << rekeyed.status().message();
+      const uint64_t new_handle = rekeyed.ValueOrDie();
+      EXPECT_EQ(new_handle, FoldFingerprint(handle, batch.Hash()));
+      EXPECT_FALSE(pool.HasGraph(handle));  // old handle forgotten
+      ASSERT_TRUE(pool.HasGraph(new_handle));
+      EXPECT_EQ(stats.version, 1u);
+
+      auto again = pool.Acquire(new_handle);
+      ASSERT_TRUE(again.ok());
+      DenseMatrix z;
+      ASSERT_TRUE(again.ValueOrDie()->Multiply(x, &z, nullptr).ok());
+      EXPECT_TRUE(BitIdentical(z, z_expect));
+      // The pool stored the patched matrix: a reopen after eviction agrees.
+      ASSERT_TRUE(pool.Evict(new_handle));
+      auto reopened = pool.Acquire(new_handle);
+      ASSERT_TRUE(reopened.ok());
+      ASSERT_TRUE(reopened.ValueOrDie()->Multiply(x, &z, nullptr).ok());
+      EXPECT_TRUE(BitIdentical(z, z_expect));
+      ASSERT_TRUE(pool.Unregister(new_handle).ok());
+    }
+
+    // Non-resident path: only the stored CSR is patched; the session opened
+    // later builds on the patched content.
+    {
+      CsrMatrix copy = base;
+      const uint64_t handle = pool.RegisterGraph(std::move(copy));
+      auto rekeyed = pool.ApplyDeltas(handle, batch);
+      ASSERT_TRUE(rekeyed.ok());
+      auto acquired = pool.Acquire(rekeyed.ValueOrDie());
+      ASSERT_TRUE(acquired.ok());
+      DenseMatrix z;
+      ASSERT_TRUE(acquired.ValueOrDie()->Multiply(x, &z, nullptr).ok());
+      EXPECT_TRUE(BitIdentical(z, z_expect));
+    }
+
+    // Unknown handles fail without side effects.
+    EXPECT_EQ(pool.ApplyDeltas(0xdeadbeef, batch).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(pool.Unregister(0xdeadbeef).code(), StatusCode::kInvalidArgument);
   }
-
-  // Resident path: the open session is patched in place.
-  {
-    CsrMatrix copy = base;
-    const uint64_t handle = pool.RegisterGraph(std::move(copy));
-    auto acquired = pool.Acquire(handle);
-    ASSERT_TRUE(acquired.ok());
-    ASSERT_TRUE(acquired.ValueOrDie().WaitReady().ok());
-    DeltaApplyStats stats;
-    auto rekeyed = pool.ApplyDeltas(handle, batch, &stats);
-    ASSERT_TRUE(rekeyed.ok()) << rekeyed.status().message();
-    const uint64_t new_handle = rekeyed.ValueOrDie();
-    EXPECT_EQ(new_handle, FoldFingerprint(handle, batch.Hash()));
-    EXPECT_FALSE(pool.HasGraph(handle));  // old handle forgotten
-    ASSERT_TRUE(pool.HasGraph(new_handle));
-    EXPECT_EQ(stats.version, 1u);
-
-    auto again = pool.Acquire(new_handle);
-    ASSERT_TRUE(again.ok());
-    DenseMatrix z;
-    ASSERT_TRUE(again.ValueOrDie().ref().Multiply(x, &z, nullptr).ok());
-    EXPECT_TRUE(BitIdentical(z, z_expect));
-    ASSERT_TRUE(pool.Unregister(new_handle).ok());
-  }
-
-  // Non-resident path: only the stored CSR is patched; the session opened
-  // later builds on the patched content.
-  {
-    CsrMatrix copy = base;
-    const uint64_t handle = pool.RegisterGraph(std::move(copy));
-    auto rekeyed = pool.ApplyDeltas(handle, batch);
-    ASSERT_TRUE(rekeyed.ok());
-    auto acquired = pool.Acquire(rekeyed.ValueOrDie());
-    ASSERT_TRUE(acquired.ok());
-    DenseMatrix z;
-    ASSERT_TRUE(acquired.ValueOrDie().ref().Multiply(x, &z, nullptr).ok());
-    EXPECT_TRUE(BitIdentical(z, z_expect));
-  }
-
-  // Unknown handles fail without side effects.
-  EXPECT_EQ(pool.ApplyDeltas(0xdeadbeef, batch).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(pool.Unregister(0xdeadbeef).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ServerStreamTest, StreamingAdmissionRefusedWhileRequestsAreQueued) {
