@@ -36,46 +36,85 @@ int64_t GemmRowGrain(int64_t flops_per_row) {
 
 // Row-parallel GEMMs over the shared sparse/reference.cc row-range kernels:
 // one copy of each loop, so the parallel results are bit-identical to the
-// serial reference for every thread count (each output row is written by
-// exactly one task, per-element accumulation order fixed).
+// serial reference for every thread count (each output row is zeroed and
+// written by exactly one task, per-element accumulation order fixed).
 
-DenseMatrix ParallelGemm(const DenseMatrix& a, const DenseMatrix& b) {
+/// Zeroes rows [r0, r1) of `c`, which the row kernels then accumulate into.
+void ZeroRows(int64_t r0, int64_t r1, DenseMatrix* c) {
+  std::fill(c->mutable_data().begin() + r0 * c->cols(),
+            c->mutable_data().begin() + r1 * c->cols(), 0.0f);
+}
+
+void ParallelGemm(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c) {
   HCSPMM_CHECK(a.cols() == b.rows()) << "GEMM shape mismatch";
-  DenseMatrix c(a.rows(), b.cols());
+  HCSPMM_CHECK(c != &a && c != &b) << "GEMM output must not alias an input";
+  PrepareDenseOutput(a.rows(), b.cols(), c);
   ParallelFor(
       0, a.rows(), /*num_threads=*/0,
       [&](int64_t r0, int64_t r1) {
+        ZeroRows(r0, r1, c);
         internal::GemmRows(a, b, static_cast<int32_t>(r0), static_cast<int32_t>(r1),
-                           &c);
+                           c);
       },
       GemmRowGrain(2ll * a.cols() * b.cols()));
-  return c;
 }
 
-DenseMatrix ParallelGemmTransA(const DenseMatrix& a, const DenseMatrix& b) {
+void ParallelGemmTransA(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c) {
   HCSPMM_CHECK(a.rows() == b.rows()) << "GEMM^T shape mismatch";
-  DenseMatrix c(a.cols(), b.cols());
+  HCSPMM_CHECK(c != &a && c != &b) << "GEMM output must not alias an input";
+  PrepareDenseOutput(a.cols(), b.cols(), c);
+  // Every chunk streams all of A and B whatever rows of C it owns, so at
+  // most one chunk per thread: more chunks only re-read the inputs.
+  const int64_t threads = ResolveNumThreads(0);
   ParallelFor(
       0, a.cols(), /*num_threads=*/0,
       [&](int64_t i0, int64_t i1) {
+        ZeroRows(i0, i1, c);
         internal::GemmTransARows(a, b, static_cast<int32_t>(i0),
-                                 static_cast<int32_t>(i1), &c);
+                                 static_cast<int32_t>(i1), c);
       },
-      GemmRowGrain(2ll * a.rows() * b.cols()));
-  return c;
+      std::max(GemmRowGrain(2ll * a.rows() * b.cols()),
+               (a.cols() + threads - 1) / threads));
 }
 
-DenseMatrix ParallelGemmTransB(const DenseMatrix& a, const DenseMatrix& b) {
+void ParallelGemmTransB(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c) {
   HCSPMM_CHECK(a.cols() == b.cols()) << "GEMM B^T shape mismatch";
-  DenseMatrix c(a.rows(), b.rows());
+  HCSPMM_CHECK(c != &a && c != &b) << "GEMM output must not alias an input";
+  PrepareDenseOutput(a.rows(), b.rows(), c);
+  // This kernel stores each element (a dot product), so no zeroing.
   ParallelFor(
       0, a.rows(), /*num_threads=*/0,
       [&](int64_t r0, int64_t r1) {
         internal::GemmTransBRows(a, b, static_cast<int32_t>(r0),
-                                 static_cast<int32_t>(r1), &c);
+                                 static_cast<int32_t>(r1), c);
       },
       GemmRowGrain(2ll * a.cols() * b.rows()));
-  return c;
+}
+
+/// Bytes of an fp32 matrix of `m`'s shape: what MemoryBytes() reads for a
+/// freshly built one, independent of the capacity a reused buffer kept.
+int64_t Fp32Bytes(const DenseMatrix& m) {
+  return static_cast<int64_t>(m.rows()) * m.cols() * static_cast<int64_t>(sizeof(float));
+}
+
+/// Writes e[j] = exp(row[j] - max(row)) and returns their sum, accumulated
+/// in double in j order. std::exp of a float returns a float, so e[j] holds
+/// exactly the bits a second evaluation would give: each exp runs once.
+double RowExps(const float* row, int32_t cols, float* e) {
+  float mx = row[0];
+  for (int32_t j = 1; j < cols; ++j) mx = std::max(mx, row[j]);
+  double sum = 0.0;
+  for (int32_t j = 0; j < cols; ++j) {
+    e[j] = std::exp(row[j] - mx);
+    sum += e[j];
+  }
+  return sum;
+}
+
+/// Aborts unless `y` is a valid class index for a `cols`-class row `r`.
+void CheckLabel(int32_t y, int32_t r, int32_t cols) {
+  HCSPMM_CHECK(y >= 0 && y < cols)
+      << "label " << y << " of row " << r << " is outside [0, " << cols << ")";
 }
 
 // Meter a GEMM of logical shape m x k x n as one cuBLAS-style launch.
@@ -109,70 +148,100 @@ void MeterElementwise(const char* name, int64_t bytes, const DeviceSpec& dev,
 
 }  // namespace
 
+void PrepareDenseOutput(int32_t rows, int32_t cols, DenseMatrix* out) {
+  if (out->rows() != rows || out->cols() != cols || out->reduced_storage() ||
+      out->data().size() != static_cast<size_t>(rows) * cols) {
+    *out = DenseMatrix::Uninitialized(rows, cols);
+  }
+}
+
+void MeteredGemm(const DenseMatrix& a, const DenseMatrix& b, const DeviceSpec& dev,
+                 DataType dtype, KernelProfile* profile, DenseMatrix* c) {
+  MeterGemm("gemm", a.rows(), a.cols(), b.cols(), dev, dtype, profile);
+  ParallelGemm(a, b, c);
+}
+
 DenseMatrix MeteredGemm(const DenseMatrix& a, const DenseMatrix& b,
                         const DeviceSpec& dev, DataType dtype,
                         KernelProfile* profile) {
-  MeterGemm("gemm", a.rows(), a.cols(), b.cols(), dev, dtype, profile);
-  return ParallelGemm(a, b);
+  DenseMatrix c;
+  MeteredGemm(a, b, dev, dtype, profile, &c);
+  return c;
 }
 
-DenseMatrix MeteredGemmTransA(const DenseMatrix& a, const DenseMatrix& b,
-                              const DeviceSpec& dev, DataType dtype,
-                              KernelProfile* profile) {
+void MeteredGemmTransA(const DenseMatrix& a, const DenseMatrix& b,
+                       const DeviceSpec& dev, DataType dtype, KernelProfile* profile,
+                       DenseMatrix* c) {
   MeterGemm("gemm_ta", a.cols(), a.rows(), b.cols(), dev, dtype, profile);
-  return ParallelGemmTransA(a, b);
+  ParallelGemmTransA(a, b, c);
 }
 
-DenseMatrix MeteredGemmTransB(const DenseMatrix& a, const DenseMatrix& b,
-                              const DeviceSpec& dev, DataType dtype,
-                              KernelProfile* profile) {
+void MeteredGemmTransB(const DenseMatrix& a, const DenseMatrix& b,
+                       const DeviceSpec& dev, DataType dtype, KernelProfile* profile,
+                       DenseMatrix* c) {
   MeterGemm("gemm_tb", a.rows(), a.cols(), b.rows(), dev, dtype, profile);
-  return ParallelGemmTransB(a, b);
+  ParallelGemmTransB(a, b, c);
 }
 
 void MeteredReluInPlace(DenseMatrix* m, const DeviceSpec& dev,
                         KernelProfile* profile) {
-  float* data = m->mutable_data().data();
-  ParallelFor(
-      0, static_cast<int64_t>(m->mutable_data().size()), /*num_threads=*/0,
-      [&](int64_t b, int64_t e) { simd::Active().relu(data + b, e - b); },
-      kElementwiseGrain);
-  MeterElementwise("relu", m->MemoryBytes() * 2, dev, profile);
+  MeteredRelu(*m, m, dev, profile);
 }
 
-DenseMatrix MeteredReluGrad(const DenseMatrix& grad_out, const DenseMatrix& pre_act,
-                            const DeviceSpec& dev, KernelProfile* profile) {
+void MeteredRelu(const DenseMatrix& in, DenseMatrix* out, const DeviceSpec& dev,
+                 KernelProfile* profile) {
+  if (out != &in) PrepareDenseOutput(in.rows(), in.cols(), out);
+  const float* src = in.data().data();
+  float* dst = out->mutable_data().data();
+  ParallelFor(
+      0, static_cast<int64_t>(in.data().size()), /*num_threads=*/0,
+      [&](int64_t b, int64_t e) {
+        if (dst != src) std::copy(src + b, src + e, dst + b);
+        simd::Active().relu(dst + b, e - b);
+      },
+      kElementwiseGrain);
+  MeterElementwise("relu", Fp32Bytes(*out) * 2, dev, profile);
+}
+
+void MeteredReluGrad(const DenseMatrix& grad_out, const DenseMatrix& pre_act,
+                     const DeviceSpec& dev, KernelProfile* profile,
+                     DenseMatrix* grad_in) {
   HCSPMM_CHECK(grad_out.rows() == pre_act.rows() && grad_out.cols() == pre_act.cols());
-  DenseMatrix out(grad_out.rows(), grad_out.cols());
-  float* dst = out.mutable_data().data();
+  HCSPMM_CHECK(grad_in != &pre_act) << "ReLU grad output must not alias pre_act";
+  if (grad_in != &grad_out) PrepareDenseOutput(grad_out.rows(), grad_out.cols(), grad_in);
+  float* dst = grad_in->mutable_data().data();
   const float* go = grad_out.data().data();
   const float* pa = pre_act.data().data();
   ParallelFor(
-      0, static_cast<int64_t>(out.data().size()), /*num_threads=*/0,
+      0, static_cast<int64_t>(grad_out.data().size()), /*num_threads=*/0,
       [&](int64_t b, int64_t e) {
         simd::Active().relu_grad(go + b, pa + b, dst + b, e - b);
       },
       kElementwiseGrain);
-  MeterElementwise("relu_grad", out.MemoryBytes() * 3, dev, profile);
-  return out;
+  MeterElementwise("relu_grad", Fp32Bytes(*grad_in) * 3, dev, profile);
 }
 
+DenseMatrix MeteredReluGrad(const DenseMatrix& grad_out, const DenseMatrix& pre_act,
+                            const DeviceSpec& dev, KernelProfile* profile) {
+  DenseMatrix grad_in;
+  MeteredReluGrad(grad_out, pre_act, dev, profile, &grad_in);
+  return grad_in;
+}
+
+// Rows are independent and written disjointly, so the row partitions below
+// are bit-deterministic for any thread count (like the GEMM row kernels);
+// the in-row max/sum reductions stay scalar to preserve their exact order.
+
 DenseMatrix SoftmaxRows(const DenseMatrix& logits) {
-  DenseMatrix out(logits.rows(), logits.cols());
-  // Rows are independent and written disjointly, so the partition is
-  // bit-deterministic for any thread count (like the GEMM row kernels); the
-  // in-row max/sum reductions stay scalar to preserve their exact order.
+  DenseMatrix out = DenseMatrix::Uninitialized(logits.rows(), logits.cols());
   ParallelFor(
       0, logits.rows(), /*num_threads=*/0,
       [&](int64_t rb, int64_t re) {
         for (int32_t r = static_cast<int32_t>(rb); r < re; ++r) {
-          const float* row = logits.RowData(r);
-          float mx = row[0];
-          for (int32_t j = 1; j < logits.cols(); ++j) mx = std::max(mx, row[j]);
-          double sum = 0.0;
-          for (int32_t j = 0; j < logits.cols(); ++j) sum += std::exp(row[j] - mx);
+          float* o = out.MutableRowData(r);
+          const double sum = RowExps(logits.RowData(r), logits.cols(), o);
           for (int32_t j = 0; j < logits.cols(); ++j) {
-            out.At(r, j) = static_cast<float>(std::exp(row[j] - mx) / sum);
+            o[j] = static_cast<float>(o[j] / sum);
           }
         }
       },
@@ -183,10 +252,11 @@ DenseMatrix SoftmaxRows(const DenseMatrix& logits) {
 double SoftmaxCrossEntropy(const DenseMatrix& logits,
                            const std::vector<int32_t>& labels,
                            DenseMatrix* grad_logits) {
-  HCSPMM_CHECK(labels.size() == static_cast<size_t>(logits.rows()));
-  const DenseMatrix probs = SoftmaxRows(logits);
+  const int32_t cols = logits.cols();
+  HCSPMM_CHECK(labels.size() == static_cast<size_t>(logits.rows()))
+      << "need one label per logits row";
   const double inv_n = 1.0 / logits.rows();
-  if (grad_logits != nullptr) *grad_logits = DenseMatrix(logits.rows(), logits.cols());
+  if (grad_logits != nullptr) PrepareDenseOutput(logits.rows(), cols, grad_logits);
   // Per-row losses land in a buffer and are folded serially in row order
   // below, so the total matches the historical sequential loop bit-for-bit
   // no matter how ParallelFor chunks the rows.
@@ -194,18 +264,25 @@ double SoftmaxCrossEntropy(const DenseMatrix& logits,
   ParallelFor(
       0, logits.rows(), /*num_threads=*/0,
       [&](int64_t rb, int64_t re) {
+        std::vector<float> e(static_cast<size_t>(cols));
         for (int32_t r = static_cast<int32_t>(rb); r < re; ++r) {
           const int32_t y = labels[r];
-          row_loss[r] = std::log(std::max(1e-12, static_cast<double>(probs.At(r, y))));
+          CheckLabel(y, r, cols);
+          // The whole row is read into `e` before the gradient row is
+          // written, so `grad_logits` may even be `&logits`.
+          const double sum = RowExps(logits.RowData(r), cols, e.data());
+          row_loss[r] = std::log(
+              std::max(1e-12, static_cast<double>(static_cast<float>(e[y] / sum))));
           if (grad_logits != nullptr) {
-            for (int32_t j = 0; j < logits.cols(); ++j) {
-              grad_logits->At(r, j) = static_cast<float>(
-                  (probs.At(r, j) - (j == y ? 1.0f : 0.0f)) * inv_n);
+            float* g = grad_logits->MutableRowData(r);
+            for (int32_t j = 0; j < cols; ++j) {
+              const float p = static_cast<float>(e[j] / sum);
+              g[j] = static_cast<float>((p - (j == y ? 1.0f : 0.0f)) * inv_n);
             }
           }
         }
       },
-      RowGrain(logits.cols()));
+      RowGrain(cols));
   double loss = 0.0;
   for (int32_t r = 0; r < logits.rows(); ++r) loss -= row_loss[r];
   return loss * inv_n;
@@ -213,12 +290,15 @@ double SoftmaxCrossEntropy(const DenseMatrix& logits,
 
 double PredictionAccuracy(const DenseMatrix& logits,
                           const std::vector<int32_t>& labels) {
+  HCSPMM_CHECK(labels.size() == static_cast<size_t>(logits.rows()))
+      << "need one label per logits row";
   std::atomic<int64_t> correct{0};
   ParallelFor(
       0, logits.rows(), /*num_threads=*/0,
       [&](int64_t rb, int64_t re) {
         int64_t local = 0;
         for (int32_t r = static_cast<int32_t>(rb); r < re; ++r) {
+          CheckLabel(labels[r], r, logits.cols());
           const float* row = logits.RowData(r);
           int32_t best = 0;
           for (int32_t j = 1; j < logits.cols(); ++j) {

@@ -42,10 +42,12 @@ struct GnnConfig {
   OptimizerKind optimizer = OptimizerKind::kSgd;
   /// Inverted dropout rate applied after each hidden ReLU (0 disables).
   double dropout = 0.0;
-  /// Submit backward aggregations through Session::MultiplyAsync so they
-  /// overlap the deferred weight-gradient GEMMs on the caller thread. fp32
-  /// results and metered profiles are bit-identical either way; only
-  /// wall-clock changes.
+  /// Submit each backward aggregation that has a weight-gradient GEMM to
+  /// overlap (all but the output layer's, whose result the next GEMM needs
+  /// at once) through SpmmBackend::MultiplyAsync, so it runs while that GEMM
+  /// runs on the caller thread. Off, it runs synchronously into a reused
+  /// buffer. fp32 results and metered profiles are bit-identical either way;
+  /// only wall-clock changes.
   bool async_pipeline = true;
   /// Row-disjoint shards of the sparse operator (TrainGnn opens a
   /// ShardedSession when > 1). Default 1 is the single-Session path; fp32
@@ -67,16 +69,27 @@ struct EpochResult {
 };
 
 /// \brief Multi-layer GCN with full forward/backward and SGD.
+///
+/// The model reads `graph->features` in place and keeps its activations,
+/// gradients and GEMM outputs across epochs: after the first epoch, the only
+/// fresh matrices of a TrainEpoch are its MultiplyAsync results.
+/// The first Backward also caches the features' transpose (as many bytes as
+/// the features) for the first layer's weight gradient. `graph->features`
+/// must therefore not change while the model lives.
 class GcnModel {
  public:
   /// `graph` and `backend` (a Session or ShardedSession) must outlive the
   /// model; the bound sparse operator must be GcnNormalized(graph->adjacency).
   GcnModel(const Graph* graph, const GnnConfig& config, SpmmBackend* backend);
 
-  /// Forward pass; caches activations for backward. Returns logits.
+  /// Forward pass; keeps the activations Backward reads. Writes the logits
+  /// into `logits`, reused when already num_vertices x num_classes.
+  void Forward(PhaseBreakdown* times, DenseMatrix* logits);
+  /// Forward into a fresh logits matrix, returned.
   DenseMatrix Forward(PhaseBreakdown* times);
 
-  /// Backward pass from d(loss)/d(logits); fills gradients and applies SGD.
+  /// Backward pass from d(loss)/d(logits) of the last Forward; fills the
+  /// gradients and applies the optimizer step.
   void Backward(const DenseMatrix& grad_logits, PhaseBreakdown* times);
 
   /// One full epoch (forward + loss + backward + SGD).
@@ -86,27 +99,30 @@ class GcnModel {
   std::vector<DenseMatrix>& mutable_weights() { return weights_; }
   const GnnConfig& config() const { return config_; }
 
-  /// Bytes of parameters + cached activations (Table XII common part).
+  /// Bytes of the activations a Forward caches, X_l and Z_l of every layer
+  /// (Table XII common part). Computed from the shapes, as if each were its
+  /// own buffer; 0 before the first Forward.
   int64_t ActivationBytes() const;
+  /// Bytes of the weights plus same-shaped gradients.
   int64_t ParameterBytes() const;
 
  private:
-  /// Aggregate `in`, honoring config_.async_pipeline: either dispatched to
-  /// the backend's stream(s) (overlapping the caller's next GEMM) or
-  /// computed inline at the same program point. `profile` must outlive the
-  /// future.
-  Future<DenseMatrix> Aggregate(DenseMatrix in, KernelProfile* profile);
-
   const Graph* graph_;
   GnnConfig config_;
   SpmmBackend* backend_;
   std::vector<DenseMatrix> weights_;
   std::unique_ptr<Optimizer> optimizer_;
   Pcg32 dropout_rng_{0xd509};
-  // Caches from the last Forward.
-  std::vector<DenseMatrix> inputs_;        // X_l
-  std::vector<DenseMatrix> aggregated_;    // Z_l = Abar (X_l W_l), pre-ReLU
+  bool has_forward_ = false;
+  // Buffers kept across epochs; every op overwrites its output in place.
+  DenseMatrix features_t_;                 // X_0^T, built by the first Backward
+  std::vector<DenseMatrix> u_;             // per layer: U_l = X_l W_l, then dU_l
+  std::vector<DenseMatrix> z_;             // per hidden layer: Z_l, pre-ReLU
+  std::vector<DenseMatrix> act_;           // per hidden layer: X_{l+1}
   std::vector<DenseMatrix> dropout_mask_;  // per hidden layer (if enabled)
+  DenseMatrix d_x_;                        // dX_l, then dZ_{l-1} in place
+  std::vector<DenseMatrix> weight_grads_;  // per layer: dW_l
+  DenseMatrix logits_, grad_logits_;       // TrainEpoch's
 };
 
 /// Glorot-style random weight matrix.

@@ -1,5 +1,8 @@
 #include "gnn/gin.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "gnn/dense_ops.h"
 #include "gnn/fused.h"
 #include "util/logging.h"
@@ -18,42 +21,35 @@ GinModel::GinModel(const Graph* graph, const GnnConfig& config, SpmmBackend* bac
     w2_.push_back(GlorotInit(config_.hidden_dim, out_dim, &rng));
     in_dim = out_dim;
   }
+  z_.resize(w1_.size());
+  h_pre_.resize(w1_.size());
+  h_act_.resize(w1_.size());
+  d_z_.resize(w1_.size());
+  d_x_.resize(w1_.size());
+  d_w1_.resize(w1_.size());
+  d_w2_.resize(w1_.size());
 }
 
-Future<DenseMatrix> GinModel::Aggregate(DenseMatrix in, KernelProfile* profile) {
-  if (config_.async_pipeline) return backend_->MultiplyAsync(std::move(in), profile);
-  DenseMatrix out;
-  HCSPMM_CHECK_OK(backend_->Multiply(in, &out, profile));
-  return MakeReadyFuture<DenseMatrix>(std::move(out));
-}
-
-DenseMatrix GinModel::Forward(PhaseBreakdown* times) {
-  inputs_.clear();
-  aggregated_.clear();
-  hidden_pre_.clear();
-  hidden_act_.clear();
+void GinModel::Forward(PhaseBreakdown* times, DenseMatrix* logits) {
   const DeviceSpec& dev = backend_->device();
   const DataType dtype = backend_->dtype();
-
-  DenseMatrix x = graph_->features;
-  for (int32_t l = 0; l < config_.num_layers; ++l) {
-    inputs_.push_back(x);
+  const int32_t last = config_.num_layers - 1;
+  const DenseMatrix* x = &graph_->features;
+  for (int32_t l = 0; l <= last; ++l) {
     // Aggregation first: Z = (A + (1+eps) I) X. The forward chain is strict
     // (the MLP consumes Z immediately), so it runs synchronously; the
     // pipelining overlap lives in Backward.
     KernelProfile agg_prof;
-    DenseMatrix z;
-    HCSPMM_CHECK_OK(backend_->Multiply(x, &z, &agg_prof));
-    aggregated_.push_back(z);
+    HCSPMM_CHECK_OK(backend_->Multiply(*x, &z_[l], &agg_prof));
 
-    // Update: two-layer MLP.
+    // Update: two-layer MLP. X_{l+1} goes to the logits for the output
+    // layer and to x_ otherwise, whose last reader was the aggregation above.
     KernelProfile gemm_prof;
-    DenseMatrix h = MeteredGemm(z, w1_[l], dev, dtype, &gemm_prof);
-    hidden_pre_.push_back(h);
+    MeteredGemm(z_[l], w1_[l], dev, dtype, &gemm_prof, &h_pre_[l]);
     KernelProfile relu_prof;
-    MeteredReluInPlace(&h, dev, &relu_prof);
-    hidden_act_.push_back(h);
-    DenseMatrix out = MeteredGemm(h, w2_[l], dev, dtype, &gemm_prof);
+    MeteredRelu(h_pre_[l], &h_act_[l], dev, &relu_prof);
+    DenseMatrix* out = l == last ? logits : &x_;
+    MeteredGemm(h_act_[l], w2_[l], dev, dtype, &gemm_prof, out);
 
     if (times != nullptr) {
       FoldProfile(agg_prof, &times->agg_ns, &times->launch_ns);
@@ -63,51 +59,63 @@ DenseMatrix GinModel::Forward(PhaseBreakdown* times) {
         // Forward GIN: the first MLP GEMM follows the Aggregation directly,
         // so Z stays in shared memory and one launch disappears.
         times->launch_ns -= dev.kernel_launch_ns;
-        const double traffic_ns = FusionSavingsNs(z.rows(), z.cols(), 0, dev, dtype);
+        const double traffic_ns =
+            FusionSavingsNs(z_[l].rows(), z_[l].cols(), 0, dev, dtype);
         times->agg_ns = std::max(0.0, times->agg_ns - traffic_ns);
       }
     }
-    x = std::move(out);
+    x = out;
   }
-  return x;
+  has_forward_ = true;
+}
+
+DenseMatrix GinModel::Forward(PhaseBreakdown* times) {
+  DenseMatrix logits;
+  Forward(times, &logits);
+  return logits;
 }
 
 void GinModel::Backward(const DenseMatrix& grad_logits, PhaseBreakdown* times) {
-  HCSPMM_CHECK(inputs_.size() == w1_.size()) << "run Forward first";
+  HCSPMM_CHECK(has_forward_) << "run Forward first";
   const DeviceSpec& dev = backend_->device();
   const DataType dtype = backend_->dtype();
 
-  DenseMatrix d_out = grad_logits;
+  const DenseMatrix* d_out = &grad_logits;
   for (int32_t l = config_.num_layers - 1; l >= 0; --l) {
     // Critical path to the aggregation input dZ first: d(hidden activation),
     // ReLU grad, then dZ = dH W1^T — so the aggregation can be submitted
     // before the off-path weight-gradient GEMMs below.
     KernelProfile dact_prof, relu_prof, dz_prof;
-    DenseMatrix d_act = MeteredGemmTransB(d_out, w2_[l], dev, dtype, &dact_prof);
-    DenseMatrix d_h = MeteredReluGrad(d_act, hidden_pre_[l], dev, &relu_prof);
-    DenseMatrix d_z = MeteredGemmTransB(d_h, w1_[l], dev, dtype, &dz_prof);
+    MeteredGemmTransB(*d_out, w2_[l], dev, dtype, &dact_prof, &d_h_);
+    MeteredReluGrad(d_h_, h_pre_[l], dev, &relu_prof, &d_h_);
+    // Layer 0's dZ feeds no aggregation; it is computed all the same.
+    MeteredGemmTransB(d_h_, w1_[l], dev, dtype, &dz_prof, &d_z_[l]);
 
     // Aggregation backward (Update precedes it -> no fusion). Submitted
     // async: it overlaps the dW1/dW2 GEMMs and the SGD steps on this thread.
     KernelProfile agg_prof;
-    Future<DenseMatrix> agg_fut;
+    Future<DenseMatrix> pending;
     if (l > 0) {
-      agg_fut = Aggregate(std::move(d_z), &agg_prof);
+      if (config_.async_pipeline) {
+        pending = backend_->MultiplyAsync(std::move(d_z_[l]), &agg_prof);
+      } else {
+        HCSPMM_CHECK_OK(backend_->Multiply(d_z_[l], &d_x_[l], &agg_prof));
+      }
     }
 
     // Deferred off the critical path: d(w2), d(w1), and the SGD updates.
     // dW2 reads w2 nowhere and dZ above already consumed the pre-step w1,
     // so stepping here is equivalent to the serial order.
     KernelProfile dw2_prof, dw1_prof;
-    DenseMatrix d_w2 = MeteredGemmTransA(hidden_act_[l], d_out, dev, dtype, &dw2_prof);
-    DenseMatrix d_w1 = MeteredGemmTransA(aggregated_[l], d_h, dev, dtype, &dw1_prof);
-    SgdStep(&w1_[l], d_w1, config_.learning_rate);
-    SgdStep(&w2_[l], d_w2, config_.learning_rate);
+    MeteredGemmTransA(h_act_[l], *d_out, dev, dtype, &dw2_prof, &d_w2_[l]);
+    MeteredGemmTransA(z_[l], d_h_, dev, dtype, &dw1_prof, &d_w1_[l]);
+    SgdStep(&w1_[l], d_w1_[l], config_.learning_rate);
+    SgdStep(&w2_[l], d_w2_[l], config_.learning_rate);
 
-    DenseMatrix d_x;
-    if (l > 0) {
-      HCSPMM_CHECK_OK(agg_fut.status());
-      d_x = agg_fut.Take();
+    if (l > 0 && config_.async_pipeline) {
+      HCSPMM_CHECK_OK(pending.status());
+      // dX_l replaces its old buffer, which becomes the next epoch's dZ_l.
+      d_z_[l] = std::exchange(d_x_[l], pending.Take());
     }
 
     if (times != nullptr) {
@@ -122,26 +130,26 @@ void GinModel::Backward(const DenseMatrix& grad_logits, PhaseBreakdown* times) {
       FoldProfile(agg_prof, &times->agg_ns, &times->launch_ns);
     }
 
-    if (l > 0) d_out = std::move(d_x);
+    if (l > 0) d_out = &d_x_[l];
   }
 }
 
 EpochResult GinModel::TrainEpoch() {
   EpochResult result;
-  DenseMatrix logits = Forward(&result.forward);
-  DenseMatrix grad;
-  result.loss = SoftmaxCrossEntropy(logits, graph_->labels, &grad);
-  result.accuracy = PredictionAccuracy(logits, graph_->labels);
-  Backward(grad, &result.backward);
+  Forward(&result.forward, &logits_);
+  result.loss = SoftmaxCrossEntropy(logits_, graph_->labels, &grad_logits_);
+  result.accuracy = PredictionAccuracy(logits_, graph_->labels);
+  Backward(grad_logits_, &result.backward);
   return result;
 }
 
 int64_t GinModel::ActivationBytes() const {
+  if (!has_forward_) return 0;
+  // X_l and Z_l are n x in_l, H_l and ReLU(H_l) n x hidden: twice W1_l's
+  // rows plus columns.
+  const int64_t row_bytes = static_cast<int64_t>(graph_->features.rows()) * sizeof(float);
   int64_t bytes = 0;
-  for (const auto& m : inputs_) bytes += m.MemoryBytes();
-  for (const auto& m : aggregated_) bytes += m.MemoryBytes();
-  for (const auto& m : hidden_pre_) bytes += m.MemoryBytes();
-  for (const auto& m : hidden_act_) bytes += m.MemoryBytes();
+  for (const DenseMatrix& w : w1_) bytes += 2 * row_bytes * (w.rows() + w.cols());
   return bytes;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "gnn/dense_ops.h"
 #include "util/logging.h"
 #include "util/simd.h"
 
@@ -51,21 +52,31 @@ void Optimizer::Step(const std::vector<const DenseMatrix*>& grads) {
   }
 }
 
-DenseMatrix DropoutForward(DenseMatrix* activations, double rate, Pcg32* rng) {
-  DenseMatrix mask(activations->rows(), activations->cols(), 1.0f);
-  if (rate <= 0.0) return mask;
+void DropoutForward(DenseMatrix* activations, double rate, Pcg32* rng,
+                    DenseMatrix* mask) {
+  PrepareDenseOutput(activations->rows(), activations->cols(), mask);
+  if (rate <= 0.0) {
+    mask->Fill(1.0f);
+    return;
+  }
   HCSPMM_CHECK(rate < 1.0) << "dropout rate must be < 1";
   const float scale = static_cast<float>(1.0 / (1.0 - rate));
   auto& data = activations->mutable_data();
-  auto& md = mask.mutable_data();
+  auto& md = mask->mutable_data();
   for (size_t i = 0; i < data.size(); ++i) {
     if (rng->NextDouble() < rate) {
       md[i] = 0.0f;
       data[i] = 0.0f;
     } else {
+      md[i] = 1.0f;
       data[i] *= scale;
     }
   }
+}
+
+DenseMatrix DropoutForward(DenseMatrix* activations, double rate, Pcg32* rng) {
+  DenseMatrix mask;
+  DropoutForward(activations, rate, rng, &mask);
   return mask;
 }
 

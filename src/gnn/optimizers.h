@@ -53,8 +53,12 @@ class Optimizer {
 };
 
 /// Inverted dropout: zeroes each entry with probability `rate` and scales
-/// survivors by 1/(1-rate). Returns the mask (1/0) so the backward pass can
-/// apply the same pattern. No-op (all-ones mask) when rate <= 0.
+/// survivors by 1/(1-rate). Writes the mask (1/0) into `mask`, reused when
+/// already activations-shaped, so the backward pass can apply the same
+/// pattern. No-op (all-ones mask) when rate <= 0.
+void DropoutForward(DenseMatrix* activations, double rate, Pcg32* rng,
+                    DenseMatrix* mask);
+/// DropoutForward into a fresh mask, returned.
 DenseMatrix DropoutForward(DenseMatrix* activations, double rate, Pcg32* rng);
 
 /// grad *= mask / (1 - rate) — the matching backward.
