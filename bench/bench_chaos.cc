@@ -86,7 +86,6 @@ ModeResult RunMode(Runtime* rt, const ModeSpec& spec, const GraphLoad& load) {
   options.pool.session = SessionOptions().set_dtype(DataType::kFp32);
   options.pool.num_shards = spec.shards;
   options.max_batch = 1;
-  options.batch_window_us = 0;
   options.default_tenant.max_queue = 4096;
   std::shared_ptr<FaultInjector> injector;
   if (spec.faults) {

@@ -18,7 +18,7 @@ void WfqScheduler::SetWeight(const std::string& tenant, double weight) {
 }
 
 void WfqScheduler::Enqueue(const std::string& tenant, const BatchKey& key,
-                           uint64_t id, Clock::time_point enqueue_time, double cost) {
+                           uint64_t id, double cost) {
   TenantQueue& q = tenants_[tenant];
   QueuedItem item;
   item.key = key;
@@ -28,39 +28,32 @@ void WfqScheduler::Enqueue(const std::string& tenant, const BatchKey& key,
   q.last_vft = std::max(virtual_time_, q.last_vft) + cost / q.weight;
   item.vft = q.last_vft;
   item.seq = next_seq_++;
-  item.enqueue_time = enqueue_time;
   q.items.push_back(std::move(item));
   ++total_depth_;
 }
 
-template <typename Visit>
-int WfqScheduler::Collect(int max_n,
-                          const std::function<int(const std::string&)>& can_take,
-                          const GraphFilter& graph_ok, bool pop, BatchKey* key_out,
-                          Clock::time_point* head_out, Visit&& visit) {
-  // Walk heads in vft order. `offset` simulates popping when !pop so Plan and
-  // Pop traverse identically; `excluded` marks tenants whose head was
-  // incompatible with the batch key (head-of-line order within a tenant is
-  // preserved — we never pop around a tenant's own head).
-  std::unordered_map<std::string, int> offset;
-  std::unordered_map<std::string, int> taken;
-  std::unordered_map<std::string, bool> excluded;
+std::vector<WfqScheduler::Popped> WfqScheduler::PopBatch(
+    int max_n, const std::function<int(const std::string&)>& can_take,
+    const GraphFilter& graph_ok) {
+  // A tenant whose head is gated sits out the whole batch: nothing behind a
+  // head is ever considered, and its head cannot change without a pop.
+  for (auto& [name, q] : tenants_) {
+    const bool eligible = !q.items.empty() &&
+                          (graph_ok == nullptr || graph_ok(q.items.front().key.graph));
+    q.headroom = eligible ? can_take(name) : 0;
+  }
+  // Walk heads in vft order. Once the first pop fixes the batch key, a
+  // tenant whose head has another key is done for this batch (head-of-line
+  // order within a tenant is preserved — we never pop around its own head).
+  std::vector<Popped> out;
   BatchKey key;
-  bool have_key = false;
-  int count = 0;
-  while (count < max_n) {
+  while (static_cast<int>(out.size()) < max_n) {
     TenantQueue* best_q = nullptr;
     const std::string* best_tenant = nullptr;
     const QueuedItem* best_item = nullptr;
     for (auto& [name, q] : tenants_) {
-      if (excluded[name]) continue;
-      const int off = offset[name];
-      if (off >= static_cast<int>(q.items.size())) continue;
-      if (can_take(name) - taken[name] <= 0) continue;
-      const QueuedItem& head = q.items[static_cast<size_t>(off)];
-      // Graph gate (circuit breaker): a tenant whose head targets a held-back
-      // graph sits out this batch; nothing behind its head is considered.
-      if (graph_ok != nullptr && !graph_ok(head.key.graph)) continue;
+      if (q.headroom <= 0 || q.items.empty()) continue;
+      const QueuedItem& head = q.items.front();
       if (best_item == nullptr || head.vft < best_item->vft ||
           (head.vft == best_item->vft && head.seq < best_item->seq)) {
         best_q = &q;
@@ -69,50 +62,18 @@ int WfqScheduler::Collect(int max_n,
       }
     }
     if (best_item == nullptr) break;
-    if (!have_key) {
+    if (out.empty()) {
       key = best_item->key;
-      have_key = true;
-      if (head_out != nullptr) *head_out = best_item->enqueue_time;
     } else if (!(best_item->key == key)) {
-      excluded[*best_tenant] = true;
+      best_q->headroom = 0;
       continue;
     }
-    visit(*best_tenant, *best_item);
-    ++taken[*best_tenant];
-    ++count;
-    if (pop) {
-      virtual_time_ = std::max(virtual_time_, best_item->vft);
-      best_q->items.pop_front();
-      --total_depth_;
-    } else {
-      ++offset[*best_tenant];
-    }
+    out.push_back(Popped{*best_tenant, best_item->id});
+    virtual_time_ = std::max(virtual_time_, best_item->vft);
+    --best_q->headroom;
+    best_q->items.pop_front();
+    --total_depth_;
   }
-  if (have_key && key_out != nullptr) *key_out = key;
-  return count;
-}
-
-std::optional<WfqScheduler::Plan> WfqScheduler::PlanBatch(
-    int max_n, const std::function<int(const std::string&)>& can_take,
-    const GraphFilter& graph_ok) const {
-  Plan plan;
-  // Collect only reads when pop == false; const_cast keeps one traversal.
-  const int count = const_cast<WfqScheduler*>(this)->Collect(
-      max_n, can_take, graph_ok, /*pop=*/false, &plan.key, &plan.head_enqueue,
-      [](const std::string&, const QueuedItem&) {});
-  if (count == 0) return std::nullopt;
-  plan.count = count;
-  return plan;
-}
-
-std::vector<WfqScheduler::Popped> WfqScheduler::PopBatch(
-    int max_n, const std::function<int(const std::string&)>& can_take,
-    const GraphFilter& graph_ok) {
-  std::vector<Popped> out;
-  Collect(max_n, can_take, graph_ok, /*pop=*/true, nullptr, nullptr,
-          [&out](const std::string& tenant, const QueuedItem& item) {
-            out.push_back(Popped{tenant, item.id, item.enqueue_time});
-          });
   return out;
 }
 
@@ -124,7 +85,7 @@ std::vector<WfqScheduler::Popped> WfqScheduler::RemoveIf(
     auto it = q.items.begin();
     while (it != q.items.end()) {
       if (pred(name, it->key.graph, it->id)) {
-        removed.push_back(Popped{name, it->id, it->enqueue_time});
+        removed.push_back(Popped{name, it->id});
         it = q.items.erase(it);
         --total_depth_;
       } else {
@@ -146,7 +107,6 @@ int64_t WfqScheduler::QueueDepth(const std::string& tenant) const {
 Server::Server(Runtime* runtime, ServerOptions options)
     : options_(std::move(options)), pool_(runtime, options_.pool) {
   if (options_.max_batch < 1) options_.max_batch = 1;
-  if (options_.batch_window_us < 0) options_.batch_window_us = 0;
   batch_size_hist_.assign(static_cast<size_t>(options_.max_batch) + 1, 0);
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
@@ -281,7 +241,7 @@ Future<DenseMatrix> Server::Submit(InferRequest request) {
   }
   tenant.cost_charged += cost;
   pending_.emplace(id, std::move(pending));
-  sched_.Enqueue(request.tenant, key, id, now, cost);
+  sched_.Enqueue(request.tenant, key, id, cost);
   lk.unlock();
   cv_.notify_all();
   return future;
@@ -383,9 +343,12 @@ void Server::DispatcherLoop() {
         continue;
       }
     }
-    std::optional<WfqScheduler::Plan> plan =
-        sched_.PlanBatch(options_.max_batch, can_take, graph_ok);
-    if (!plan.has_value()) {
+    // Work-conserving: dispatch whatever can run now, batched with the
+    // compatible requests already queued. Block only when nothing can run;
+    // every Submit, completion and Shutdown notifies cv_.
+    std::vector<WfqScheduler::Popped> popped =
+        sched_.PopBatch(options_.max_batch, can_take, graph_ok);
+    if (popped.empty()) {
       if (stopping_ && sched_.TotalDepth() == 0 && inflight_total_ == 0) return;
       // Queued work may sit blocked behind an open breaker: bound the wait
       // by the earliest re-probe time so promotion isn't missed.
@@ -397,16 +360,6 @@ void Server::DispatcherLoop() {
       }
       continue;
     }
-    const bool full = plan->count >= options_.max_batch;
-    const auto window_end =
-        plan->head_enqueue + std::chrono::microseconds(options_.batch_window_us);
-    if (!full && !stopping_ && WfqScheduler::Clock::now() < window_end) {
-      cv_.wait_until(lk, window_end);  // woken early by submits/completions
-      continue;
-    }
-    std::vector<WfqScheduler::Popped> popped =
-        sched_.PopBatch(options_.max_batch, can_take, graph_ok);
-    if (popped.empty()) continue;  // racing completion changed eligibility
     BatchJob job;
     job.items.reserve(popped.size());
     // Deadline sweep at pop: a request whose deadline already passed resolves
@@ -509,9 +462,8 @@ void Server::CompleteBatch(BatchJob job, const Status& status,
       --tenant.inflight;
       if (st.ok()) {
         ++tenant.completed;
-        latencies_us_.push_back(
-            std::chrono::duration<double, std::micro>(now - item.enqueue_time)
-                .count());
+        latency_.Record(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(now - item.enqueue_time));
       } else if (st.IsDeadlineExceeded()) {
         ++tenant.deadline_missed;
       } else {
@@ -623,19 +575,9 @@ ServerStats Server::stats() const {
     s.avg_batch_size =
         static_cast<double>(dispatched) / static_cast<double>(s.batches);
   }
-  if (!latencies_us_.empty()) {
-    std::vector<double> lat = latencies_us_;
-    const auto pct = [&lat](double p) {
-      const size_t idx = static_cast<size_t>(
-          p * static_cast<double>(lat.size() - 1) + 0.5);
-      std::nth_element(lat.begin(), lat.begin() + static_cast<int64_t>(idx),
-                       lat.end());
-      return lat[idx];
-    };
-    s.p50_latency_us = pct(0.50);
-    s.p99_latency_us = pct(0.99);
-    s.max_latency_us = *std::max_element(lat.begin(), lat.end());
-  }
+  s.p50_latency_us = latency_.PercentileUs(0.50);
+  s.p99_latency_us = latency_.PercentileUs(0.99);
+  s.max_latency_us = latency_.MaxUs();
   return s;
 }
 

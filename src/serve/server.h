@@ -1,10 +1,12 @@
 // Server: the multi-tenant request front-end over the async runtime. Clients
 // register graphs (content-fingerprinted, owned by the embedded SessionPool)
 // and submit InferRequest-shaped work — (tenant, graph handle, feature
-// matrix) — getting back a Future<DenseMatrix>. A dispatcher thread
-// micro-batches *compatible* requests (same graph fingerprint + feature dim)
-// within a bounded time/size window onto a single batched multiply, and
-// scatters the results back to the per-request futures on completion.
+// matrix) — getting back a Future<DenseMatrix>. A work-conserving dispatcher
+// thread pops a request as soon as it can run, together with the
+// *compatible* requests (same graph fingerprint + feature dim) already queued
+// behind it, up to max_batch, onto a single batched multiply, and scatters
+// the results back to the per-request futures on completion. Nothing waits
+// for peers: batches are as large as the queue that load has built.
 //
 // QoS: admission and dispatch are tenant-aware. Each tenant has a weight
 // (weighted fair queuing decides who dispatches next), an in-flight cap
@@ -35,6 +37,7 @@
 #include <vector>
 
 #include "serve/session_pool.h"
+#include "util/latency_histogram.h"
 
 namespace hcspmm {
 
@@ -54,12 +57,10 @@ struct TenantOptions {
 struct ServerOptions {
   /// Session pool under the server (budget, session template, sharding).
   SessionPoolOptions pool;
-  /// Micro-batch size window: dispatch as soon as this many compatible
-  /// requests are collectable (1 disables cross-request batching).
+  /// Most requests one dispatch takes: the compatible requests already
+  /// queued when the dispatcher pops, up to this many (1 disables
+  /// cross-request batching).
   int max_batch = 8;
-  /// Micro-batch time window in microseconds: a head-of-line request waits
-  /// at most this long for compatible peers before dispatching anyway.
-  int64_t batch_window_us = 200;
   /// Applied to tenants that were never explicitly configured.
   TenantOptions default_tenant;
   /// Default per-graph retry policy for dispatched batches: IsRetryable
@@ -139,8 +140,9 @@ struct ServerStats {
   /// (index 0 unused).
   std::vector<int64_t> batch_size_hist;
   double avg_batch_size = 0.0;
-  /// Completion latency (submit -> future resolved) percentiles over every
-  /// completed request, microseconds. 0 when nothing completed yet.
+  /// Completion latency (submit -> future resolved) over every completed
+  /// request, microseconds: percentiles within LatencyHistogram's 1.6%,
+  /// the maximum exact. 0 when nothing completed yet.
   double p50_latency_us = 0.0;
   double p99_latency_us = 0.0;
   double max_latency_us = 0.0;
@@ -174,15 +176,6 @@ class WfqScheduler {
   struct Popped {
     std::string tenant;
     uint64_t id = 0;
-    Clock::time_point enqueue_time;
-  };
-
-  /// What PopBatch would return, without mutating (drives the time/size
-  /// window decision).
-  struct Plan {
-    BatchKey key;
-    int count = 0;
-    Clock::time_point head_enqueue;  ///< oldest-scheduled selected request
   };
 
   /// Optional per-batch graph gate: tenants whose *head* request targets a
@@ -197,13 +190,12 @@ class WfqScheduler {
   /// Queue one request (`cost` is the fair-share charge, 1.0 = per-request
   /// fairness).
   void Enqueue(const std::string& tenant, const BatchKey& key, uint64_t id,
-               Clock::time_point enqueue_time, double cost = 1.0);
+               double cost = 1.0);
 
-  /// `can_take(tenant)` returns how many more requests the tenant may have
-  /// dispatched right now (its in-flight headroom); <= 0 skips the tenant.
-  std::optional<Plan> PlanBatch(int max_n,
-                                const std::function<int(const std::string&)>& can_take,
-                                const GraphFilter& graph_ok = nullptr) const;
+  /// Pop up to `max_n` requests of one batch key, in vft order; empty when
+  /// nothing is eligible. `can_take(tenant)` returns how many more requests
+  /// the tenant may have dispatched right now (its in-flight headroom);
+  /// <= 0 skips the tenant.
   std::vector<Popped> PopBatch(int max_n,
                                const std::function<int(const std::string&)>& can_take,
                                const GraphFilter& graph_ok = nullptr);
@@ -225,19 +217,13 @@ class WfqScheduler {
     uint64_t id = 0;
     double vft = 0.0;
     uint64_t seq = 0;  // FIFO tie-break for equal vft
-    Clock::time_point enqueue_time;
   };
   struct TenantQueue {
     double weight = 1.0;
     double last_vft = 0.0;
     std::deque<QueuedItem> items;
+    int headroom = 0;  // pops left for this tenant in the batch being popped
   };
-
-  /// Shared selection walk behind PlanBatch/PopBatch. `pop` mutates.
-  template <typename Visit>
-  int Collect(int max_n, const std::function<int(const std::string&)>& can_take,
-              const GraphFilter& graph_ok, bool pop, BatchKey* key_out,
-              Clock::time_point* head_out, Visit&& visit);
 
   std::unordered_map<std::string, TenantQueue> tenants_;
   double virtual_time_ = 0.0;
@@ -291,8 +277,8 @@ class Server {
   /// resolve, even across Shutdown.
   Future<DenseMatrix> Submit(InferRequest request);
 
-  /// Stop admission, serve everything queued (ignoring the time window),
-  /// wait for in-flight batches, join the dispatcher. Idempotent.
+  /// Stop admission, serve everything queued (open breakers no longer hold
+  /// work back), wait for in-flight batches, join the dispatcher. Idempotent.
   void Shutdown();
 
   ServerStats stats() const;
@@ -376,7 +362,7 @@ class Server {
   int64_t batches_ = 0;
   int64_t breaker_trips_ = 0;
   std::vector<int64_t> batch_size_hist_;
-  std::vector<double> latencies_us_;
+  LatencyHistogram latency_;  // submit -> resolved, completed requests only
   bool stopping_ = false;
   /// Incremented by the session layer per transparent retry attempt (shared
   /// across batches, hence atomic — batches complete off-lock).

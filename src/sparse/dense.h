@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/aligned_allocator.h"
@@ -54,6 +55,26 @@ class DenseMatrix {
   DenseMatrix() = default;
   DenseMatrix(int32_t rows, int32_t cols, float fill = 0.0f)
       : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows) * cols, fill) {}
+
+  DenseMatrix(const DenseMatrix&) = default;
+  DenseMatrix& operator=(const DenseMatrix&) = default;
+  /// A moved-from matrix is 0x0 fp32, so rows x cols always equals the size
+  /// of the backing in use: an output checked by shape alone is never
+  /// written through storage a move took away.
+  DenseMatrix(DenseMatrix&& other) noexcept
+      : rows_(std::exchange(other.rows_, 0)),
+        cols_(std::exchange(other.cols_, 0)),
+        precision_(std::exchange(other.precision_, FeaturePrecision::kFp32)),
+        data_(std::exchange(other.data_, {})),
+        half_data_(std::exchange(other.half_data_, {})) {}
+  DenseMatrix& operator=(DenseMatrix&& other) noexcept {
+    rows_ = std::exchange(other.rows_, 0);
+    cols_ = std::exchange(other.cols_, 0);
+    precision_ = std::exchange(other.precision_, FeaturePrecision::kFp32);
+    data_ = std::exchange(other.data_, {});
+    half_data_ = std::exchange(other.half_data_, {});
+    return *this;
+  }
 
   /// rows x cols fp32 matrix whose elements are indeterminate: no serial
   /// zero fill, so the pages are first touched by whoever writes them. The

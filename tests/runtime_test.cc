@@ -321,6 +321,15 @@ TEST(SessionOutputTest, InPlaceAndReusedOutputsMatchFreshOutput) {
       EXPECT_TRUE(same_bits(fresh1, z)) << "round " << round;
     }
 
+    // A moved-from z is 0x0, so it gets fresh storage instead of being
+    // written through the buffer the move took.
+    DenseMatrix taken = std::move(z);
+    EXPECT_EQ(z.rows(), 0);
+    EXPECT_EQ(z.cols(), 0);
+    ASSERT_TRUE(backend->Multiply(x0, &z, nullptr).ok());
+    EXPECT_TRUE(same_bits(fresh0, z));
+    EXPECT_TRUE(same_bits(fresh1, taken));
+
     // A correctly shaped z full of NaN: a cancelled call leaves it as it
     // was, a successful one overwrites every element.
     const DenseMatrix nan_z(abar.rows(), x1.cols(),

@@ -7,7 +7,9 @@
 // multi-tenant submission (TSan fodder).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -206,10 +208,9 @@ TEST(WfqSchedulerTest, WeightedDrainIsProportional) {
   sched.SetWeight("A", 1.0);
   sched.SetWeight("B", 3.0);
   const WfqScheduler::BatchKey key{1, 32};
-  const auto t0 = WfqScheduler::Clock::now();
   for (uint64_t i = 0; i < 40; ++i) {
-    sched.Enqueue("A", key, 1000 + i, t0);
-    sched.Enqueue("B", key, 2000 + i, t0);
+    sched.Enqueue("A", key, 1000 + i);
+    sched.Enqueue("B", key, 2000 + i);
   }
   // Drain the first 40 slots: weight 3 tenant should hold ~30 of them.
   int from_a = 0;
@@ -230,10 +231,9 @@ TEST(WfqSchedulerTest, ExplicitCostScalesFairShare) {
   sched.SetWeight("cheap", 1.0);
   sched.SetWeight("pricey", 1.0);
   const WfqScheduler::BatchKey key{1, 32};
-  const auto t0 = WfqScheduler::Clock::now();
   for (uint64_t i = 0; i < 40; ++i) {
-    sched.Enqueue("cheap", key, 1000 + i, t0, /*cost=*/1.0);
-    sched.Enqueue("pricey", key, 2000 + i, t0, /*cost=*/10.0);
+    sched.Enqueue("cheap", key, 1000 + i, /*cost=*/1.0);
+    sched.Enqueue("pricey", key, 2000 + i, /*cost=*/10.0);
   }
   // At equal weight, cost-10 work drains 10x slower: of the 44 smallest
   // virtual finish times, exactly 4 belong to the pricey tenant.
@@ -251,11 +251,10 @@ TEST(WfqSchedulerTest, LateArriverIsNotPenalizedByBacklog) {
   sched.SetWeight("flood", 1.0);
   sched.SetWeight("late", 1.0);
   const WfqScheduler::BatchKey key{1, 32};
-  const auto t0 = WfqScheduler::Clock::now();
-  for (uint64_t i = 0; i < 100; ++i) sched.Enqueue("flood", key, i, t0);
+  for (uint64_t i = 0; i < 100; ++i) sched.Enqueue("flood", key, i);
   // Serve some of the backlog, then the second tenant shows up.
   (void)sched.PopBatch(8, NoCap);
-  sched.Enqueue("late", key, 1000, t0);
+  sched.Enqueue("late", key, 1000);
   // The late tenant's first request must land in the very next batch: its
   // virtual start is "now", not behind the flooder's 92 queued requests.
   std::vector<WfqScheduler::Popped> next = sched.PopBatch(2, NoCap);
@@ -265,10 +264,9 @@ TEST(WfqSchedulerTest, LateArriverIsNotPenalizedByBacklog) {
 
 TEST(WfqSchedulerTest, IncompatibleHeadsDoNotCoBatch) {
   WfqScheduler sched;
-  const auto t0 = WfqScheduler::Clock::now();
-  sched.Enqueue("A", WfqScheduler::BatchKey{1, 32}, 1, t0);
-  sched.Enqueue("B", WfqScheduler::BatchKey{2, 32}, 2, t0);  // other graph
-  sched.Enqueue("A", WfqScheduler::BatchKey{1, 32}, 3, t0);
+  sched.Enqueue("A", WfqScheduler::BatchKey{1, 32}, 1);
+  sched.Enqueue("B", WfqScheduler::BatchKey{2, 32}, 2);  // other graph
+  sched.Enqueue("A", WfqScheduler::BatchKey{1, 32}, 3);
   std::vector<WfqScheduler::Popped> batch = sched.PopBatch(8, NoCap);
   ASSERT_EQ(batch.size(), 2u);  // both of A's; B's head is a different key
   EXPECT_EQ(batch[0].id, 1u);
@@ -282,40 +280,122 @@ TEST(WfqSchedulerTest, IncompatibleHeadsDoNotCoBatch) {
 
 TEST(WfqSchedulerTest, InflightHeadroomGatesEligibility) {
   WfqScheduler sched;
-  const auto t0 = WfqScheduler::Clock::now();
   const WfqScheduler::BatchKey key{1, 32};
-  sched.Enqueue("A", key, 1, t0);
-  sched.Enqueue("A", key, 2, t0);
-  sched.Enqueue("B", key, 3, t0);
+  sched.Enqueue("A", key, 1);
+  sched.Enqueue("A", key, 2);
+  sched.Enqueue("B", key, 3);
   const auto only_b = [](const std::string& t) { return t == "B" ? 1 : 0; };
   std::vector<WfqScheduler::Popped> batch = sched.PopBatch(8, only_b);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].tenant, "B");
   EXPECT_EQ(sched.QueueDepth("A"), 2);
-  // Plan with nobody eligible reports no batch at all.
-  EXPECT_FALSE(sched.PlanBatch(8, [](const std::string&) { return 0; }).has_value());
+  // With nobody eligible the pop is empty and the queue untouched.
+  EXPECT_TRUE(sched.PopBatch(8, [](const std::string&) { return 0; }).empty());
+  EXPECT_EQ(sched.TotalDepth(), 2);
 }
 
 // ---------------------------------------------------------------------------
 // Server
 
-ServerOptions BatchingOptions(int max_batch, int64_t window_us) {
+ServerOptions BatchingOptions(int max_batch) {
   ServerOptions opts;
   opts.pool = PoolOptions(4);
   opts.max_batch = max_batch;
-  opts.batch_window_us = window_us;
   return opts;
+}
+
+RuntimeOptions OneExecutor() {
+  RuntimeOptions opts;
+  opts.num_threads = 1;
+  return opts;
+}
+
+/// Occupies the only executor of a OneExecutor() runtime until Open() or
+/// destruction: the sessions the server opens and the batches it dispatches
+/// queue behind it, so dispatched requests stay in flight, and requests
+/// held back by an in-flight cap stay queued, for as long as a test needs.
+/// Declare it after the Server, so an early return opens it before the
+/// server drains.
+class ExecutorGate {
+ public:
+  explicit ExecutorGate(Runtime* rt) {
+    auto running = std::make_shared<std::promise<void>>();
+    std::future<void> started = running->get_future();
+    // A promise destroyed unset makes the future ready too.
+    rt->pool()->Submit([running, opened = open_.get_future().share()] {
+      running->set_value();
+      opened.wait();
+    });
+    // A worker runs its own deque newest-first, so a task submitted after
+    // this one but before it starts would run first: return only once it
+    // holds the executor.
+    started.wait();
+  }
+  void Open() { open_.set_value(); }
+
+ private:
+  std::promise<void> open_;
+};
+
+/// Holds the server's dispatcher thread until Open() or destruction, so the
+/// requests submitted meanwhile all queue up and its first pop after Open()
+/// sees every one of them. The hold is a continuation on a request that is
+/// past its deadline when submitted: the dispatcher resolves it
+/// kDeadlineExceeded at pop, on its own thread, and so runs the
+/// continuation there. An in-flight cap of 0 keeps that request queued until
+/// the continuation is registered; raising the cap wakes nobody, so a second
+/// expired request wakes the dispatcher. Both are tenant "gate" requests of
+/// feature dim 1, which no test request uses, so they never join a test
+/// batch and never count as one. Declare it after the Server.
+class DispatcherGate {
+ public:
+  DispatcherGate(Server* server, uint64_t graph, int32_t rows) {
+    const auto submit_expired = [&] {
+      InferRequest request{"gate", graph, Payload(rows, 1, 0)};
+      request.deadline = std::chrono::steady_clock::time_point::min();
+      return server->Submit(std::move(request));
+    };
+    TenantOptions held;
+    held.max_inflight = 0;
+    server->ConfigureTenant("gate", held);
+    auto running = std::make_shared<std::promise<void>>();
+    std::future<void> started = running->get_future();
+    submit_expired().OnReady([running, opened = open_.get_future().share()] {
+      running->set_value();
+      opened.wait();
+    });
+    server->ConfigureTenant("gate", TenantOptions());
+    (void)submit_expired();
+    started.wait();
+  }
+  void Open() { open_.set_value(); }
+
+ private:
+  std::promise<void> open_;
+};
+
+/// Polls until exactly `n` requests are in flight; false after 30 s.
+bool WaitForInflight(Server* server, int64_t n) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < give_up) {
+    int64_t inflight = 0;
+    for (const auto& [name, tenant] : server->stats().tenants) inflight += tenant.inflight;
+    if (inflight == n) return true;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return false;
 }
 
 TEST(ServerTest, FullBatchScattersBitIdenticalResults) {
   Runtime rt;
   CsrMatrix abar = ServeMatrix(51);
   CsrMatrix reference = abar;
-  // Window far larger than the test runtime: only the size trigger fires,
-  // so exactly one batch of 4 is dispatched.
-  Server server(&rt, BatchingOptions(4, 5'000'000));
+  Server server(&rt, BatchingOptions(4));
   const uint64_t graph = server.RegisterGraph(std::move(abar));
+  DispatcherGate gate(&server, graph, 256);
 
+  // Four requests from two tenants queue up while the dispatcher is held;
+  // its first pop then takes all four as one full batch.
   std::vector<DenseMatrix> xs;
   std::vector<Future<DenseMatrix>> futures;
   for (uint64_t i = 0; i < 4; ++i) {
@@ -323,6 +403,7 @@ TEST(ServerTest, FullBatchScattersBitIdenticalResults) {
     futures.push_back(server.Submit({"tenant-" + std::to_string(i % 2), graph,
                                      xs.back()}));
   }
+  gate.Open();
   for (size_t i = 0; i < futures.size(); ++i) {
     ASSERT_TRUE(futures[i].status().ok()) << futures[i].status().ToString();
     EXPECT_TRUE(BitIdentical(futures[i].Get(), Direct(&rt, reference, xs[i])))
@@ -334,8 +415,41 @@ TEST(ServerTest, FullBatchScattersBitIdenticalResults) {
   EXPECT_EQ(stats.batch_size_hist[4], 1);
   EXPECT_EQ(stats.completed, 4);
   EXPECT_EQ(stats.rejected, 0);
+  // The one batch hands each tenant back its own results and in-flight slots.
+  for (const char* tenant : {"tenant-0", "tenant-1"}) {
+    ASSERT_EQ(stats.tenants.count(tenant), 1u) << tenant;
+    EXPECT_EQ(stats.tenants.at(tenant).completed, 2) << tenant;
+    EXPECT_EQ(stats.tenants.at(tenant).inflight, 0) << tenant;
+  }
   EXPECT_LE(stats.p50_latency_us, stats.p99_latency_us);
   EXPECT_LE(stats.p99_latency_us, stats.max_latency_us);
+}
+
+TEST(ServerTest, CompletionWakesTheDispatcherToBatchTheQueue) {
+  Runtime rt(OneExecutor());
+  ServerOptions opts = BatchingOptions(8);
+  opts.default_tenant.max_inflight = 1;
+  Server server(&rt, opts);
+  ExecutorGate gate(&rt);
+  const uint64_t graph = server.RegisterGraph(ServeMatrix(65));
+
+  std::vector<Future<DenseMatrix>> futures;
+  futures.push_back(server.Submit({"t", graph, Payload(256, 16, 1100)}));
+  ASSERT_TRUE(WaitForInflight(&server, 1));  // request 0 is dispatched
+  for (uint64_t i = 1; i <= 4; ++i) {
+    futures.push_back(server.Submit({"t", graph, Payload(256, 16, 1100 + i)}));
+  }
+  EXPECT_EQ(server.stats().queue_depth, 4);  // held by the in-flight cap
+  // Raising the cap sends the dispatcher no wake-up. Request 0's completion
+  // does, and the dispatcher then takes everything queued for the key.
+  server.ConfigureTenant("t", TenantOptions());
+  gate.Open();
+  for (Future<DenseMatrix>& f : futures) ASSERT_TRUE(f.status().ok());
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.batches, 2);
+  EXPECT_EQ(stats.batch_size_hist[1], 1);
+  EXPECT_EQ(stats.batch_size_hist[4], 1);
+  EXPECT_EQ(stats.completed, 5);
 }
 
 TEST(ServerTest, SizeAwareCostChargesByWork) {
@@ -375,7 +489,7 @@ TEST(ServerTest, IncompatibleRequestsNeverCoBatch) {
   CsrMatrix b = ServeMatrix(53);
   CsrMatrix ref_a = a;
   CsrMatrix ref_b = b;
-  Server server(&rt, BatchingOptions(8, 1000));
+  Server server(&rt, BatchingOptions(8));
   const uint64_t ga = server.RegisterGraph(std::move(a));
   const uint64_t gb = server.RegisterGraph(std::move(b));
 
@@ -393,22 +507,29 @@ TEST(ServerTest, IncompatibleRequestsNeverCoBatch) {
 }
 
 TEST(ServerTest, BackpressureIsTypedAndDistinguishable) {
-  Runtime rt;
+  Runtime rt(OneExecutor());
   CsrMatrix abar = ServeMatrix(54);
   CsrMatrix reference = abar;
-  ServerOptions opts = BatchingOptions(64, 60'000'000);  // nothing dispatches
+  ServerOptions opts = BatchingOptions(64);
   TenantOptions bounded;
   bounded.max_queue = 3;
+  bounded.max_inflight = 1;
   opts.default_tenant = bounded;
   std::vector<Future<DenseMatrix>> accepted;
   std::vector<DenseMatrix> xs;
   Status rejected;
   {
     Server server(&rt, opts);
+    ExecutorGate gate(&rt);
     const uint64_t graph = server.RegisterGraph(std::move(abar));
-    for (uint64_t i = 0; i < 3; ++i) {
+    // Request 0 stays in flight behind the gate; the in-flight cap of 1
+    // keeps the next three queued, which fills the bounded queue.
+    for (uint64_t i = 0; i < 4; ++i) {
       xs.push_back(Payload(256, 16, 400 + i));
       accepted.push_back(server.Submit({"t", graph, xs.back()}));
+      if (i == 0) {
+        ASSERT_TRUE(WaitForInflight(&server, 1));
+      }
     }
     Future<DenseMatrix> overflow = server.Submit({"t", graph, Payload(256, 16, 9)});
     rejected = overflow.status();
@@ -423,9 +544,10 @@ TEST(ServerTest, BackpressureIsTypedAndDistinguishable) {
 
     ServerStats stats = server.stats();
     EXPECT_EQ(stats.rejected, 1);
-    EXPECT_EQ(stats.submitted, 3);
+    EXPECT_EQ(stats.submitted, 4);
     EXPECT_EQ(stats.queue_depth, 3);
-    // Destruction drains: the three accepted requests are served, not lost.
+    // Destruction opens the gate, then drains: the four accepted requests
+    // are served, not lost.
   }
   EXPECT_TRUE(rejected.IsOverloaded());
   EXPECT_EQ(rejected.code(), StatusCode::kOverloaded);
@@ -438,7 +560,7 @@ TEST(ServerTest, BackpressureIsTypedAndDistinguishable) {
 TEST(ServerTest, InflightCapBoundsBatchSize) {
   Runtime rt;
   CsrMatrix abar = ServeMatrix(55);
-  ServerOptions opts = BatchingOptions(8, 500);
+  ServerOptions opts = BatchingOptions(8);
   opts.default_tenant.max_inflight = 2;
   Server server(&rt, opts);
   const uint64_t graph = server.RegisterGraph(std::move(abar));
@@ -458,7 +580,7 @@ TEST(ServerTest, InflightCapBoundsBatchSize) {
 TEST(ServerTest, SaturatingTenantCannotStarveOthers) {
   Runtime rt;
   CsrMatrix abar = ServeMatrix(56, /*rows=*/1024, /*density=*/0.02);
-  ServerOptions opts = BatchingOptions(4, 200);
+  ServerOptions opts = BatchingOptions(4);
   opts.default_tenant.max_queue = 1000;
   opts.default_tenant.max_inflight = 8;  // tight cap => small snapshot slop
   Server server(&rt, opts);
@@ -499,21 +621,36 @@ TEST(ServerTest, SaturatingTenantCannotStarveOthers) {
 }
 
 TEST(ServerTest, CleanShutdownDrainsQueuedAndInFlight) {
-  Runtime rt;
+  Runtime rt(OneExecutor());
   CsrMatrix abar = ServeMatrix(57);
   CsrMatrix reference = abar;
   std::vector<DenseMatrix> xs;
   std::vector<Future<DenseMatrix>> futures;
   {
-    // Long window: most requests are still queued when the server dies.
-    Server server(&rt, BatchingOptions(4, 2'000'000));
+    ServerOptions opts = BatchingOptions(4);
+    opts.default_tenant.max_inflight = 1;
+    Server server(&rt, opts);
+    ExecutorGate gate(&rt);
     const uint64_t graph = server.RegisterGraph(std::move(abar));
     for (uint64_t i = 0; i < 11; ++i) {
       xs.push_back(Payload(256, 32, 700 + i));
       futures.push_back(server.Submit({"t" + std::to_string(i % 3), graph,
                                        xs.back()}));
     }
-  }  // ~Server: drain + join
+    // One request per tenant is in flight behind the gate; the in-flight
+    // cap of 1 holds the other eight queued.
+    ASSERT_TRUE(WaitForInflight(&server, 3));
+    EXPECT_EQ(server.stats().queue_depth, 8);
+    // Shutdown starts in that state and must serve all eleven; the gate
+    // opens once Submit refuses, i.e. once Shutdown has begun.
+    std::thread stopper([&server] { server.Shutdown(); });
+    while (server.Submit({"probe", 0, Payload(1, 1, 0)}).status().code() !=
+           StatusCode::kInternal) {
+      std::this_thread::yield();
+    }
+    gate.Open();
+    stopper.join();
+  }
   for (size_t i = 0; i < futures.size(); ++i) {
     ASSERT_TRUE(futures[i].status().ok()) << futures[i].status().ToString();
     EXPECT_TRUE(BitIdentical(futures[i].Get(), Direct(&rt, reference, xs[i])));
@@ -522,7 +659,7 @@ TEST(ServerTest, CleanShutdownDrainsQueuedAndInFlight) {
 
 TEST(ServerTest, SubmitAfterShutdownFailsCleanly) {
   Runtime rt;
-  Server server(&rt, BatchingOptions(4, 100));
+  Server server(&rt, BatchingOptions(4));
   const uint64_t graph = server.RegisterGraph(ServeMatrix(58));
   server.Shutdown();
   server.Shutdown();  // idempotent
@@ -532,9 +669,9 @@ TEST(ServerTest, SubmitAfterShutdownFailsCleanly) {
 }
 
 TEST(ServerTest, UnregisterRefusesWhileBusyAndSucceedsAfterDrain) {
-  Runtime rt;
-  // A long batch window keeps the request queued while we probe.
-  Server server(&rt, BatchingOptions(64, 60'000'000));
+  Runtime rt(OneExecutor());
+  Server server(&rt, BatchingOptions(64));
+  ExecutorGate gate(&rt);  // keeps the request unfinished while we probe
   const uint64_t graph = server.RegisterGraph(ServeMatrix(63));
   const uint64_t idle = server.RegisterGraph(ServeMatrix(64));
 
@@ -543,7 +680,7 @@ TEST(ServerTest, UnregisterRefusesWhileBusyAndSucceedsAfterDrain) {
 
   Future<DenseMatrix> f = server.Submit({"t", graph, Payload(256, 16, 2)});
   ASSERT_TRUE(f.valid());
-  ASSERT_FALSE(f.ready());  // still queued behind the window
+  ASSERT_FALSE(f.ready());  // queued or in flight behind the gate
   // The busy graph refuses with the retryable backpressure code; an idle
   // graph unregisters immediately even while another one is loaded.
   Status busy = server.UnregisterGraph(graph);
@@ -552,7 +689,8 @@ TEST(ServerTest, UnregisterRefusesWhileBusyAndSucceedsAfterDrain) {
   EXPECT_TRUE(server.UnregisterGraph(idle).ok());
   EXPECT_FALSE(server.pool()->HasGraph(idle));
 
-  server.Shutdown();  // drains the queued request
+  gate.Open();
+  server.Shutdown();  // drains the request
   ASSERT_TRUE(f.status().ok());
   EXPECT_TRUE(server.UnregisterGraph(graph).ok());
   EXPECT_FALSE(server.pool()->HasGraph(graph));
@@ -566,10 +704,14 @@ TEST(ServerTest, BatchedAndUnbatchedModesAgreeBitwise) {
   std::vector<DenseMatrix> xs;
   for (uint64_t i = 0; i < 6; ++i) xs.push_back(Payload(256, 32, 800 + i));
 
+  // All six queue up while the dispatcher is held, so its first pop sees
+  // them together.
   const auto serve_all = [&](Server* server, uint64_t graph) {
-    std::vector<DenseMatrix> zs;
     std::vector<Future<DenseMatrix>> futures;
+    DispatcherGate gate(server, graph, 256);
     for (const DenseMatrix& x : xs) futures.push_back(server->Submit({"t", graph, x}));
+    gate.Open();
+    std::vector<DenseMatrix> zs;
     for (Future<DenseMatrix>& f : futures) {
       EXPECT_TRUE(f.status().ok());
       zs.push_back(f.Take());
@@ -577,12 +719,13 @@ TEST(ServerTest, BatchedAndUnbatchedModesAgreeBitwise) {
     return zs;
   };
 
-  Server batched(&rt, BatchingOptions(8, 50'000));
-  Server unbatched(&rt, BatchingOptions(1, 0));
+  Server batched(&rt, BatchingOptions(8));
+  Server unbatched(&rt, BatchingOptions(1));
   const std::vector<DenseMatrix> zs_batched =
       serve_all(&batched, batched.RegisterGraph(std::move(abar)));
   const std::vector<DenseMatrix> zs_unbatched =
       serve_all(&unbatched, unbatched.RegisterGraph(std::move(copy)));
+  EXPECT_EQ(batched.stats().batches, 1);    // all six in one batch
   EXPECT_EQ(unbatched.stats().batches, 6);  // max_batch 1 => no co-batching
   for (size_t i = 0; i < xs.size(); ++i) {
     const DenseMatrix expected = Direct(&rt, reference, xs[i]);
@@ -595,20 +738,26 @@ TEST(ServerTest, ShardedBackendServesBitIdentical) {
   Runtime rt;
   CsrMatrix abar = ServeMatrix(60, /*rows=*/300, /*density=*/0.04);
   CsrMatrix reference = abar;
-  ServerOptions opts = BatchingOptions(4, 10'000);
+  ServerOptions opts = BatchingOptions(4);
   opts.pool = PoolOptions(2, /*num_shards=*/2);
   Server server(&rt, opts);
   const uint64_t graph = server.RegisterGraph(std::move(abar));
+  DispatcherGate gate(&server, graph, 300);
   std::vector<DenseMatrix> xs;
   std::vector<Future<DenseMatrix>> futures;
   for (uint64_t i = 0; i < 5; ++i) {
     xs.push_back(Payload(300, 16, 850 + i));
     futures.push_back(server.Submit({"t", graph, xs.back()}));
   }
+  gate.Open();  // the five queued requests dispatch as batches of 4 and 1
   for (size_t i = 0; i < futures.size(); ++i) {
     ASSERT_TRUE(futures[i].status().ok());
     EXPECT_TRUE(BitIdentical(futures[i].Get(), Direct(&rt, reference, xs[i])));
   }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.batches, 2);
+  EXPECT_EQ(stats.batch_size_hist[4], 1);
+  EXPECT_EQ(stats.batch_size_hist[1], 1);
 }
 
 TEST(ServerTest, ConcurrentSubmittersAcrossTenantsAndGraphs) {
@@ -617,7 +766,7 @@ TEST(ServerTest, ConcurrentSubmittersAcrossTenantsAndGraphs) {
   CsrMatrix b = ServeMatrix(62);
   CsrMatrix ref_a = a;
   CsrMatrix ref_b = b;
-  Server server(&rt, BatchingOptions(6, 300));
+  Server server(&rt, BatchingOptions(6));
   const uint64_t ga = server.RegisterGraph(std::move(a));
   const uint64_t gb = server.RegisterGraph(std::move(b));
 

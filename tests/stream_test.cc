@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -746,13 +747,26 @@ TEST(PoolStreamTest, ApplyDeltasRekeysResidentAndNonResidentEntries) {
 }
 
 TEST(ServerStreamTest, StreamingAdmissionRefusedWhileRequestsAreQueued) {
-  Runtime rt;
+  RuntimeOptions one_executor;
+  one_executor.num_threads = 1;
+  Runtime rt(one_executor);
   ServerOptions opts;
   opts.pool.max_sessions = 2;
   opts.pool.session = Fp32();
   opts.max_batch = 64;
-  opts.batch_window_us = 60'000'000;  // nothing dispatches until Shutdown
   Server server(&rt, opts);
+  // Occupy the runtime's only executor, so the request below cannot finish
+  // until the gate opens (destroying the promise unset opens it too). Wait
+  // until the gate task runs: the worker pops its own deque newest-first, so
+  // a later task could otherwise overtake it.
+  std::promise<void> gate;
+  auto running = std::make_shared<std::promise<void>>();
+  std::future<void> started = running->get_future();
+  rt.pool()->Submit([running, opened = gate.get_future().share()] {
+    running->set_value();
+    opened.wait();
+  });
+  started.wait();
 
   CsrMatrix base = StreamMatrix(43, 200, 0.05);
   const CsrMatrix kept = base;
@@ -765,8 +779,8 @@ TEST(ServerStreamTest, StreamingAdmissionRefusedWhileRequestsAreQueued) {
   req.graph = handle;
   req.x = x;
   Future<DenseMatrix> fut = server.Submit(std::move(req));
-  // status() would block until the batch window drains; the request must
-  // still be queued when the mutations below probe the server.
+  // The request is queued or in flight behind the gate while the mutations
+  // below probe the server.
   ASSERT_TRUE(fut.valid());
   ASSERT_FALSE(fut.ready());
 
@@ -774,14 +788,15 @@ TEST(ServerStreamTest, StreamingAdmissionRefusedWhileRequestsAreQueued) {
   Pcg32 rng(67);
   const DeltaBatch batch = RandomBatch(map, kept.rows(), kept.cols(), 20, &rng);
 
-  // Queued request => both mutations refuse with the retryable code, and
-  // the handle still answers.
+  // Unfinished request => both mutations refuse with the retryable code,
+  // and the handle still answers.
   EXPECT_EQ(server.RegisterGraph(handle, batch).status().code(),
             StatusCode::kOverloaded);
   EXPECT_EQ(server.UnregisterGraph(handle).code(), StatusCode::kOverloaded);
   EXPECT_TRUE(server.pool()->HasGraph(handle));
 
-  server.Shutdown();  // drains the queue; the future resolves
+  gate.set_value();
+  server.Shutdown();  // drains; the future resolves
   ASSERT_TRUE(fut.status().ok());
   EXPECT_EQ(fut.Get().rows(), kept.rows());
 
@@ -799,7 +814,6 @@ TEST(ServerStreamTest, StreamingAdmissionPatchesAndServesTheNewHandle) {
   opts.pool.max_sessions = 2;
   opts.pool.session = Fp32();
   opts.max_batch = 4;
-  opts.batch_window_us = 0;
   Server server(&rt, opts);
 
   CsrMatrix base = StreamMatrix(47, 200, 0.05);

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <set>
+#include <type_traits>
+#include <vector>
 
+#include "util/latency_histogram.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -115,6 +121,46 @@ TEST(Pcg32Test, ShuffleIsPermutation) {
   rng.Shuffle(&v);
   std::set<int> s(v.begin(), v.end());
   EXPECT_EQ(s.size(), 10u);
+}
+
+// Trivially copyable implies a trivial destructor, so the histogram cannot
+// own heap storage: its footprint is sizeof(LatencyHistogram) for any number
+// of samples.
+static_assert(std::is_trivially_copyable<LatencyHistogram>::value,
+              "LatencyHistogram must stay fixed-size");
+
+TEST(LatencyHistogramTest, MillionSamplesStayWithinTheStatedError) {
+  // Log-normal around 0.5 ms with a heavy tail (about 10 us .. 100 ms).
+  constexpr int kSamples = 1000000;
+  Pcg32 rng(2024);
+  std::vector<int64_t> ns(kSamples);
+  LatencyHistogram h;
+  for (int64_t& v : ns) {
+    v = static_cast<int64_t>(std::exp(std::log(5e5) + 1.2 * rng.NextGaussian()));
+    h.Record(std::chrono::nanoseconds(v));
+  }
+  EXPECT_EQ(h.count(), kSamples);
+  std::sort(ns.begin(), ns.end());
+  for (double p : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    const size_t rank = static_cast<size_t>(p * (kSamples - 1) + 0.5);
+    const double exact_us = static_cast<double>(ns[rank]) / 1e3;
+    EXPECT_NEAR(h.PercentileUs(p), exact_us, exact_us / 64.0) << "p = " << p;
+  }
+  EXPECT_EQ(h.MaxUs(), static_cast<double>(ns.back()) / 1e3);
+}
+
+TEST(LatencyHistogramTest, EdgeValues) {
+  LatencyHistogram h;
+  EXPECT_EQ(h.PercentileUs(0.5), 0.0);  // empty
+  EXPECT_EQ(h.MaxUs(), 0.0);
+  h.Record(std::chrono::nanoseconds(-5));  // counts as 0
+  h.Record(std::chrono::nanoseconds(37));  // small values are exact
+  h.Record(std::chrono::hours(2));         // beyond the top bucket
+  EXPECT_EQ(h.count(), 3);
+  EXPECT_EQ(h.PercentileUs(0.0), 0.0);
+  EXPECT_EQ(h.PercentileUs(0.5), 0.037);
+  EXPECT_EQ(h.MaxUs(), 7.2e9);
+  EXPECT_LE(h.PercentileUs(1.0), h.MaxUs());
 }
 
 TEST(StringUtilTest, Split) {

@@ -36,8 +36,8 @@ void PrintUsage(const char* argv0) {
                "  --tenants N      concurrent tenants, weight ramp 1..N (default: 4)\n"
                "  --qps N          aggregate offered load, requests/s (default: 1000)\n"
                "  --duration S     seconds of offered load (default: 2)\n"
-               "  --max-batch N    micro-batch size window (default: 8)\n"
-               "  --window-us N    micro-batch time window (default: 300)\n"
+               "  --max-batch N    most queued compatible requests one dispatch\n"
+               "                   takes; nothing waits for peers (default: 8)\n"
                "  --seed N         payload/graph RNG seed (default: 17)\n"
                "  --deadline-ms N  per-request deadline; 0 = none (default: 0)\n"
                "  --fault-rate F   injected transient-fault probability per\n"
@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
   double qps = 1000.0;
   double duration_s = 2.0;
   int max_batch = 8;
-  int64_t window_us = 300;
   uint64_t seed = 17;
   int64_t deadline_ms = 0;
   double fault_rate = 0.0;
@@ -75,8 +74,6 @@ int main(int argc, char** argv) {
       duration_s = std::max(0.1, std::atof(argv[++i]));
     } else if (arg == "--max-batch" && has_operand) {
       max_batch = std::max(1, std::atoi(argv[++i]));
-    } else if (arg == "--window-us" && has_operand) {
-      window_us = std::max<int64_t>(0, std::atoll(argv[++i]));
     } else if (arg == "--seed" && has_operand) {
       seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--deadline-ms" && has_operand) {
@@ -117,7 +114,6 @@ int main(int argc, char** argv) {
   ServerOptions options;
   options.pool.session = session_options;
   options.max_batch = max_batch;
-  options.batch_window_us = window_us;
   std::shared_ptr<FaultInjector> injector;
   if (fault_rate > 0.0) {
     FaultOptions fopts;
@@ -161,9 +157,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("offering %.0f req/s across %d tenants for %.1fs "
-              "(max_batch %d, window %lld us, %d hw threads)\n",
-              qps, num_tenants, duration_s, max_batch,
-              static_cast<long long>(window_us), ThreadPool::HardwareThreads());
+              "(max_batch %d, work-conserving dispatch, %d hw threads)\n",
+              qps, num_tenants, duration_s, max_batch, ThreadPool::HardwareThreads());
 
   // Open-loop pacer: fire at fixed intervals regardless of completions; the
   // server sheds with kOverloaded when tenants outrun their queue bounds.
